@@ -22,28 +22,11 @@ import numpy as np
 from . import __version__
 from .array_model import SourceScenario, synthesize
 from .config import ExperimentConfig, load_config, load_packaged_config
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    DomainError,
-    IdentifiabilityError,
-    InvalidParameterError,
-    RankDeficiencyError,
-    SnapshotFormatError,
-)
+from .errors import NUMERICAL_ERRORS, ConfigError, InvalidParameterError, SnapshotFormatError
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets
 from .harness import derive_seed, monte_carlo, orthogonality_experiment
 from .jade import jade_separate
 from .snapshot_io import superpose_snapshots, write_snapshot_csv
-
-_NUMERICAL_ERRORS = (
-    DegenerateInputError,
-    DomainError,
-    IdentifiabilityError,
-    InvalidParameterError,
-    RankDeficiencyError,
-    np.linalg.LinAlgError,
-)
 
 
 def _fmt(value) -> str:
@@ -290,10 +273,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except SnapshotFormatError as exc:

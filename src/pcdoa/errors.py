@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its documented domain."""
@@ -47,3 +49,15 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration file is missing keys or holds bad values."""
+
+
+# Numerical failures: they end one trial, or exit the CLI with code 3,
+# without ending the experiment. InvalidParameterError is deliberately
+# absent: a config bug must stop the run, not count as a failed trial.
+NUMERICAL_ERRORS = (
+    DegenerateInputError,
+    DomainError,
+    IdentifiabilityError,
+    RankDeficiencyError,
+    np.linalg.LinAlgError,
+)

@@ -92,7 +92,7 @@ class DoaEstimate:
         if not np.all(np.abs(theta) < 90.0):
             raise DomainError("estimated directions left the (-90, 90) degree domain")
         if not np.isfinite(self.final_cost):
-            raise InvalidParameterError("final cost must be finite")
+            raise DomainError("final cost must be finite")
         object.__setattr__(self, "directions_deg", _frozen(theta))
         for name in ("amplitudes", "spectra", "grid_deg"):
             value = getattr(self, name)

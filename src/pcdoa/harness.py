@@ -26,28 +26,12 @@ from .array_model import (
     synthesize,
 )
 from .correlation import cross_covariance, pair_correlation
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    IdentifiabilityError,
-    InvalidParameterError,
-    RankDeficiencyError,
-)
+from .errors import NUMERICAL_ERRORS, DomainError, InvalidParameterError
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets, match_sources
 from .jade import jade_separate
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Module errors that count as a failed trial rather than a crashed run.
-_TRIAL_ERRORS = (
-    DegenerateInputError,
-    DomainError,
-    IdentifiabilityError,
-    InvalidParameterError,
-    RankDeficiencyError,
-    np.linalg.LinAlgError,
-)
 
 
 def _splitmix64(state: int) -> int:
@@ -207,9 +191,12 @@ def run_trial(
     """Run one synthesize / separate / estimate pass and align the result.
 
     Deterministic given (config.base_seed, sweep_index, trial_index); the
-    noise seed is `derive_seed` of those three. Module errors are caught
-    and reported as a failed trial instead of raised.
+    noise seed is `derive_seed` of those three. Numerical failures
+    (`errors.NUMERICAL_ERRORS`) are caught and reported as a failed trial;
+    a configuration error raises.
     """
+    if config.grid_deg is None:
+        raise InvalidParameterError("estimation requires a search grid")
     if geometry is None:
         geometry = config.geometry.build()
     directions, noise_var = _point_scenario(config, sweep_value)
@@ -219,15 +206,13 @@ def run_trial(
         snapshot, _ = synthesize(geometry, scenario)
         separation = jade_separate(snapshot.data, directions.size)
         offsets = estimate_phase_offsets(separation)
-        if config.grid_deg is None:
-            raise InvalidParameterError("estimation requires a search grid")
         mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
         if config.estimator == "bss_nls":
             refined = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
             estimates = refined.directions_deg
         else:
             estimates = mf.directions_deg
-    except _TRIAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         return TrialResult(None, directions, error=f"{type(exc).__name__}: {exc}")
     order = match_sources(estimates, directions)
     return TrialResult(estimates[list(order)], directions)
@@ -346,7 +331,7 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
                 snapshot, _ = synthesize(geometry, scenario)
                 separated = jade_separate(snapshot.data, 2)
                 offsets = estimate_phase_offsets(separated)
-            except _TRIAL_ERRORS:
+            except NUMERICAL_ERRORS:
                 continue
             # |R_{2,1}| is permutation-proof: swapping the two recovered
             # rows only conjugates the off-diagonal entry.

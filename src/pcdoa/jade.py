@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, RankDeficiencyError
-from .hermitian import hermitian_eig
 
 __all__ = [
     "WhiteningResult",
@@ -139,7 +138,8 @@ def estimate_whitener(measurements, n_sources):
     if n_samples < n_src:
         raise InvalidParameterError("need at least n_sources samples")
     cov = y @ y.conj().T / n_samples
-    values, vectors = hermitian_eig(cov)
+    values, vectors = np.linalg.eigh(cov)
+    values, vectors = values[::-1], vectors[:, ::-1]
     noise = max(float(np.mean(values[n_src:])), 0.0)
     gaps = values[:n_src] - noise
     for index, gap in enumerate(gaps):
@@ -176,12 +176,31 @@ def sample_cumulant(ea, eb, ec, ed):
     return complex(direct - pairings / n_samples**2)
 
 
+def _cumulant_tensor(z):
+    """All fourth-order sample cumulants C[a,b,c,d] = Cum(z_a, conj z_b, z_c, conj z_d).
+
+    The same quantity as ``sample_cumulant(z[a], z[b].conj(), z[c],
+    z[d].conj())`` for every index quadruple at once.
+    """
+    n_samples = z.shape[1]
+    zc = z.conj()
+    mixed = z @ zc.T
+    direct = np.einsum("at,bt,ct,dt->abcd", z, zc, z, zc) / n_samples
+    pairings = (
+        np.einsum("ab,cd->abcd", mixed, mixed)
+        + np.einsum("ac,bd->abcd", z @ z.T, zc @ zc.T)
+        + np.einsum("ad,cb->abcd", mixed, mixed)
+    )
+    return direct - pairings / n_samples**2
+
+
 def cumulant_matrix_set(whitened):
     """Pack all fourth-order cumulants of the whitened rows and truncate.
 
     Entry (p, q) of the L^2 x L^2 cumulant matrix is the cumulant of rows
     (a, b, c, d) with p = a + (b-1) L and q = d + (c-1) L (1-based).  The
-    matrix is Hermitian; its L dominant eigenvectors are devectorized
+    matrix is Hermitian; its eigenvalues are ordered by descending
+    magnitude, and the L dominant eigenvectors are devectorized
     column-major into L x L matrices and scaled by the corresponding
     singular values.
     """
@@ -191,35 +210,18 @@ def cumulant_matrix_set(whitened):
     n_src, n_samples = z.shape
     if n_samples <= n_src:
         raise InvalidParameterError("need more samples than rows")
-    zc = z.conj()
-    # hadamard[a, b] = row_a * conj(row_b); inner products likewise cached
-    hadamard = z[:, None, :] * zc[None, :, :]
-    ip_plain = z @ z.T
-    ip_mixed = z @ zc.T
-    ip_conj = zc @ zc.T
-    big = np.zeros((n_src * n_src, n_src * n_src), dtype=complex)
-    for a in range(n_src):
-        for b in range(n_src):
-            p = a + b * n_src
-            for c in range(n_src):
-                for d in range(n_src):
-                    q = d + c * n_src
-                    direct = hadamard[a, b] @ hadamard[c, d] / n_samples
-                    pairings = (
-                        ip_mixed[a, b] * ip_mixed[c, d]
-                        + ip_plain[a, c] * ip_conj[b, d]
-                        + ip_mixed[a, d] * ip_mixed[c, b]
-                    )
-                    big[p, q] = direct - pairings / n_samples**2
-    values, vectors = hermitian_eig(big)
-    matrices = []
-    scales = []
-    for l in range(n_src):
-        scale = abs(values[l])
-        matrices.append(scale * vectors[:, l].reshape(n_src, n_src, order="F"))
-        scales.append(scale)
+    # Row index b*L + a and column index c*L + d of the C-order reshape.
+    big = _cumulant_tensor(z).transpose(1, 0, 2, 3).reshape(n_src * n_src, n_src * n_src)
+    values, vectors = np.linalg.eigh(big)
+    order = np.argsort(-np.abs(values), kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    scales = np.abs(values[:n_src])
+    matrices = tuple(
+        scale * vectors[:, l].reshape(n_src, n_src, order="F")
+        for l, scale in enumerate(scales)
+    )
     return CumulantMatrixSet(
-        matrices=tuple(matrices),
+        matrices=matrices,
         eigenvalues=tuple(scales),
         spectrum=tuple(values),
         packed=big,
@@ -265,8 +267,7 @@ def joint_diagonalize(matrix_set, max_sweeps=100, angle_threshold=1e-8):
                     axis=1,
                 )
                 target = np.real(rows.conj().T @ rows)
-                _, eigvecs = hermitian_eig(target)
-                direction = np.real(eigvecs[:, 0])
+                direction = np.linalg.eigh(target)[1][:, -1]
                 if direction[0] < 0:
                     direction = -direction
                 alpha = np.sqrt((1.0 + direction[0]) / 2.0)
@@ -323,13 +324,9 @@ def jade_cost(source_rows, include_diagonal_triples=False):
     s = np.asarray(getattr(source_rows, "data", source_rows), dtype=complex)
     if s.ndim != 2 or s.size == 0:
         raise InvalidParameterError("source rows must form a nonempty 2-D matrix")
-    n_rows = s.shape[0]
-    sc = s.conj()
-    total = 0.0
-    for r in range(n_rows):
-        for p in range(n_rows):
-            for q in range(n_rows):
-                if not include_diagonal_triples and r == p == q:
-                    continue
-                total += abs(sample_cumulant(s[r], sc[r], s[p], sc[q])) ** 2
-    return total
+    # own[r, p, q] = Cum(row_r, conj row_r, row_p, conj row_q)
+    own = _cumulant_tensor(s)[np.arange(s.shape[0]), np.arange(s.shape[0])]
+    moduli = np.abs(own) ** 2
+    if not include_diagonal_triples:
+        moduli[np.diag_indices(s.shape[0], ndim=3)] = 0.0
+    return float(np.sum(moduli))

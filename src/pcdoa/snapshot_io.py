@@ -40,8 +40,8 @@ def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:
     """Read one snapshot CSV and check it against the geometry's grid.
 
     Every (element, subarray) cell must appear exactly once with indices
-    inside the geometry's dimensions. Errors carry the offending 1-based
-    file row number.
+    inside the geometry's dimensions and finite values. Errors carry the
+    offending 1-based file row number.
     """
     elements = geometry.elements_per_subarray
     subarrays = geometry.subarray_count
@@ -84,6 +84,10 @@ def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:
                 raise SnapshotFormatError(
                     "real and imag must be numeric", row=row_number
                 ) from None
+            if not (np.isfinite(real) and np.isfinite(imag)):
+                raise SnapshotFormatError(
+                    "real and imag must be finite", row=row_number
+                )
             if seen[m - 1, k - 1]:
                 raise SnapshotFormatError(
                     f"duplicate cell (element {m}, subarray {k})", row=row_number

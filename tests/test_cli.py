@@ -113,6 +113,18 @@ class TestSnapshotChain:
             "--add", str(bad),
         ) == 4
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_estimate_rejects_non_finite_cell(self, config_path, tmp_path, cell):
+        assert run("synth", "--config", config_path, "--out", str(tmp_path)) == 0
+        path = tmp_path / "snapshot.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        assert run(
+            "estimate", "--config", config_path, "--out", str(tmp_path),
+            "--add", str(path),
+        ) == 4
+
     def test_ingest_missing_file(self, config_path, tmp_path):
         assert run(
             "ingest", "--config", config_path, "--out", str(tmp_path),
@@ -189,6 +201,11 @@ class TestErrors:
 
     def test_unknown_packaged_name(self, tmp_path):
         assert run("estimate", "--config", "fig99", "--out", str(tmp_path)) == 2
+
+    def test_zero_trials_is_a_config_error(self, tmp_path):
+        assert run(
+            "montecarlo", "--config", "fig6a", "--trials", "0", "--out", str(tmp_path),
+        ) == 2
 
     def test_numerical_failure_exit(self, tmp_path):
         path = tmp_path / "bad.yaml"

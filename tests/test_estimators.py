@@ -10,6 +10,7 @@ from pcdoa.array_model import (
 )
 from pcdoa.errors import DomainError, InvalidParameterError
 from pcdoa.estimators import (
+    DoaEstimate,
     angle_grid,
     bss_mf,
     bss_nls,
@@ -282,6 +283,11 @@ class TestNls:
         offsets = np.ones((2, 5), dtype=complex)
         with pytest.raises(InvalidParameterError):
             bss_nls(x, geometry, offsets, [10.0, 10.5])
+
+    def test_non_finite_cost_is_a_numerical_failure(self):
+        for cost in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                DoaEstimate([1.0], None, None, None, iterations=0, final_cost=cost)
 
 
 class TestMatchSources:

@@ -174,6 +174,10 @@ class TestMonteCarlo:
         expected = np.degrees(np.arcsin(np.sin(np.radians(1.2)) + 10.0 * delta_sin))
         assert wide[1] == pytest.approx(expected, abs=0.02)
 
+    def test_missing_grid_raises_instead_of_failing_trials(self):
+        with pytest.raises(InvalidParameterError, match="grid"):
+            monte_carlo(close_pair_config(grid_deg=None, trials=2))
+
     def test_order_independent_of_trial_count(self):
         # first trials of a longer run replicate a shorter run exactly
         short = monte_carlo(close_pair_config(trials=2))

@@ -73,6 +73,18 @@ def test_whitener_noise_floor_estimate():
     assert res.noise_estimate == pytest.approx(0.01, rel=0.2)
 
 
+def test_whitener_takes_top_eigenvalues_in_descending_order():
+    rng = np.random.default_rng(16)
+    t = 40
+    y = rng.standard_normal((5, t)) + 1j * rng.standard_normal((5, t))
+    res = estimate_whitener(y, 3)
+    values = np.linalg.eigvalsh(y @ y.conj().T / t)[::-1]
+    assert res.noise_estimate == pytest.approx(np.mean(values[3:]), rel=1e-12)
+    # row l of W is the l-th eigenvector scaled by (value_l - noise)^(-1/2)
+    gaps = 1.0 / np.sum(np.abs(res.whitener) ** 2, axis=1)
+    np.testing.assert_allclose(gaps, values[:3] - res.noise_estimate, rtol=1e-10)
+
+
 def test_whitener_rank_deficiency_names_component():
     # Identity data gives exactly tied eigenvalues, so the debiased second
     # eigenvalue is not positive.
@@ -145,6 +157,35 @@ def test_cumulant_matrix_index_packing():
     assert cset.packed.shape == (4, 4)
     # the packed matrix is Hermitian
     np.testing.assert_allclose(cset.packed, cset.packed.conj().T, atol=1e-12)
+
+
+def test_cumulant_matrix_matches_reference_at_every_index():
+    rng = np.random.default_rng(17)
+    n = 3
+    z = rng.standard_normal((n, 12)) + 1j * rng.standard_normal((n, 12))
+    packed = cumulant_matrix_set(z).packed
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    want = sample_cumulant(z[a], z[b].conj(), z[c], z[d].conj())
+                    assert packed[a + b * n, d + c * n] == pytest.approx(want, rel=1e-12)
+
+
+def test_cumulant_spectrum_sorted_by_descending_magnitude():
+    rng = np.random.default_rng(18)
+    n = 3
+    z = rng.standard_normal((n, 20)) + 1j * rng.standard_normal((n, 20))
+    cset = cumulant_matrix_set(z)
+    spectrum = np.array(cset.spectrum)
+    assert np.all(np.diff(np.abs(spectrum)) <= 0)
+    np.testing.assert_allclose(np.sort(spectrum), np.linalg.eigvalsh(cset.packed), atol=1e-12)
+    np.testing.assert_allclose(cset.eigenvalues, np.abs(spectrum[:n]), rtol=1e-12)
+    # each matrix devectorizes (column-major) the eigenvector of its scale
+    for value, matrix in zip(spectrum, cset.matrices):
+        vec = matrix.ravel(order="F")
+        np.testing.assert_allclose(cset.packed @ vec, value * vec, atol=1e-10)
+        assert np.linalg.norm(vec) == pytest.approx(abs(value), rel=1e-12)
 
 
 def test_cumulant_matrices_near_diagonal_for_independent_rows():
@@ -280,6 +321,21 @@ def test_jade_cost_diagonal_triple_closed_form():
     want = (1.0 + abs(conj_corr) ** 2) ** 2
     got = jade_cost(z, include_diagonal_triples=True)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_jade_cost_matches_reference_triple_sum():
+    rng = np.random.default_rng(19)
+    s = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+    for include in (False, True):
+        want = sum(
+            abs(sample_cumulant(s[r], s[r].conj(), s[p], s[q].conj())) ** 2
+            for r in range(3)
+            for p in range(3)
+            for q in range(3)
+            if include or not r == p == q
+        )
+        got = jade_cost(s, include_diagonal_triples=include)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_jade_cost_matches_covariance_closed_form():

@@ -83,6 +83,17 @@ class TestIngestValidation:
             ingest_snapshot_csv(path, geometry())
         assert info.value.row == 4
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, cell):
+        good = tmp_path / "good.csv"
+        write_snapshot_csv(good, snapshot())
+        lines = good.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:2] + [cell, "0.0"])
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(SnapshotFormatError, match="finite") as info:
+            ingest_snapshot_csv(path, geometry())
+        assert info.value.row == 4
+
     def test_index_out_of_range(self, tmp_path):
         path = self.write(
             tmp_path,
