@@ -324,9 +324,9 @@ def jade_cost(source_rows, include_diagonal_triples=False):
     s = np.asarray(getattr(source_rows, "data", source_rows), dtype=complex)
     if s.ndim != 2 or s.size == 0:
         raise InvalidParameterError("source rows must form a nonempty 2-D matrix")
-    # own[r, p, q] = Cum(row_r, conj row_r, row_p, conj row_q)
-    own = _cumulant_tensor(s)[np.arange(s.shape[0]), np.arange(s.shape[0])]
-    moduli = np.abs(own) ** 2
+    rows = np.arange(s.shape[0])
+    # moduli[r, p, q] = |Cum(row_r, conj row_r, row_p, conj row_q)|^2
+    moduli = np.abs(_cumulant_tensor(s)[rows, rows]) ** 2
     if not include_diagonal_triples:
-        moduli[np.diag_indices(s.shape[0], ndim=3)] = 0.0
+        moduli[rows, rows, rows] = 0.0
     return float(np.sum(moduli))
