@@ -15,7 +15,7 @@ def run(name):
     config = load_packaged_config(name)
     print(f"\n=== {name}: {config.geometry.layout} layout ===")
     print(f"{'sep/Delta':>10} {'truth':>8} {'estimate':>9}")
-    points = orthogonality_experiment(config.trial_config())
+    points = orthogonality_experiment(config)
     for p in points:
         flag = "  <- low-correlation regime" if p.truth < 0.2 else ""
         print(f"{p.separation_over_delta:>10.2f} {p.truth:>8.3f} {p.estimate:>9.3f}{flag}")

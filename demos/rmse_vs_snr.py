@@ -20,7 +20,7 @@ def main():
 
     for name in ("fig6a", "fig6b"):
         config = load_packaged_config(name).with_overrides(trials=args.trials)
-        report = monte_carlo(config.trial_config())
+        report = monte_carlo(config)
         pair = tuple(config.directions_deg)
         print(f"\n=== {name}: sources {pair}, {args.trials} trials/point ===")
         print(f"{'SNR dB':>7} {'RMSE deg':>9} {'resolve':>8}")

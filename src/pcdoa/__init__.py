@@ -11,7 +11,6 @@ from .array_model import (
     synthesize,
 )
 from .config import (
-    ExperimentConfig,
     load_config,
     load_packaged_config,
     packaged_config_names,

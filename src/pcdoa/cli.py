@@ -20,11 +20,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .array_model import SourceScenario, synthesize
-from .config import ExperimentConfig, load_config, load_packaged_config
+from .config import load_config, load_packaged_config
 from .errors import NUMERICAL_ERRORS, ConfigError, InvalidParameterError, SnapshotFormatError
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets
-from .harness import derive_seed, monte_carlo, orthogonality_experiment
+from .harness import TrialConfig, monte_carlo, orthogonality_experiment, trial_snapshot
 from .jade import jade_separate
 from .snapshot_io import superpose_snapshots, write_snapshot_csv
 
@@ -33,7 +32,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _resolve_config(ref: str) -> ExperimentConfig:
+def _resolve_config(ref: str) -> TrialConfig:
     if os.path.exists(ref):
         return load_config(ref)
     base = os.path.basename(ref)
@@ -42,7 +41,7 @@ def _resolve_config(ref: str) -> ExperimentConfig:
     raise ConfigError(f"config file not found: {ref}")
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+def _apply_overrides(config: TrialConfig, args) -> TrialConfig:
     return config.with_overrides(
         seed=args.seed,
         trials=args.trials,
@@ -51,7 +50,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     )
 
 
-def _write_sidecar(out_dir: str, name: str, command: str, config: ExperimentConfig, extra=None):
+def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, extra=None):
     payload = {
         "command": command,
         "version": __version__,
@@ -74,21 +73,14 @@ def _write_csv(out_dir: str, name: str, header: List[str], rows) -> str:
     return path
 
 
-def _synthesize_snapshot(config: ExperimentConfig):
-    geometry = config.geometry.build()
-    scenario = SourceScenario(
-        config.directions_deg,
-        config.amplitudes,
-        10.0 ** (-config.snr_db / 10.0),
-        seed=derive_seed(config.base_seed, 0, 0),
-    )
-    snapshot, _ = synthesize(geometry, scenario)
-    return geometry, snapshot
+def _synthesize_snapshot(config: TrialConfig, geometry):
+    noise_var = 10.0 ** (-config.snr_db / 10.0)
+    return trial_snapshot(config, geometry, config.directions_deg, noise_var)
 
 
 def _cmd_synth(args) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
-    _, snapshot = _synthesize_snapshot(config)
+    snapshot = _synthesize_snapshot(config, config.geometry.build())
     write_snapshot_csv(os.path.join(args.out, "snapshot.csv"), snapshot)
     _write_sidecar(args.out, "snapshot", "synth", config)
     return 0
@@ -119,7 +111,7 @@ def _cmd_estimate(args) -> int:
     if args.add:
         snapshot = superpose_snapshots(args.add, geometry)
     else:
-        _, snapshot = _synthesize_snapshot(config)
+        snapshot = _synthesize_snapshot(config, geometry)
     sources = len(config.directions_deg)
     separated = jade_separate(snapshot.data, sources)
     offsets = estimate_phase_offsets(separated)
@@ -157,7 +149,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_orthogonality(args) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
-    points = orthogonality_experiment(config.trial_config())
+    points = orthogonality_experiment(config)
     rows = [
         [_fmt(p.separation_over_delta), _fmt(p.truth), _fmt(p.estimate)]
         for p in points
@@ -185,7 +177,7 @@ def _run_monte_carlo(args, command: str) -> int:
         raise ConfigError("sweep needs a config with run.sweep.axis set")
     if config.grid_deg is None:
         raise ConfigError(f"{command} needs run.grid in the config")
-    report = monte_carlo(config.trial_config())
+    report = monte_carlo(config)
     rows = [
         [
             _fmt(p.sweep_value),
@@ -258,13 +250,14 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override run.estimator",
         )
-        p.add_argument(
-            "--add",
-            action="append",
-            default=None,
-            metavar="PATH",
-            help="snapshot CSV to ingest; repeat to superpose several",
-        )
+        if name in ("estimate", "ingest"):
+            p.add_argument(
+                "--add",
+                action="append",
+                default=None,
+                metavar="PATH",
+                help="snapshot CSV to ingest; repeat to superpose several",
+            )
     return parser
 
 
@@ -273,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -47,8 +47,8 @@ class DomainError(ValueError):
     """An angle or iterate left the open search domain."""
 
 
-class ConfigError(ValueError):
-    """A run configuration file is missing keys or holds bad values."""
+class ConfigError(InvalidParameterError):
+    """A run configuration is missing keys or holds bad values."""
 
 
 # Numerical failures: they end one trial, or exit the CLI with code 3,

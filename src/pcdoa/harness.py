@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .array_model import (
     ArrayGeometry,
+    MeasurementMatrix,
     SourceScenario,
     build_geometry,
     synthesize,
 )
 from .correlation import cross_covariance, pair_correlation
-from .errors import NUMERICAL_ERRORS, DomainError, InvalidParameterError
+from .errors import NUMERICAL_ERRORS, ConfigError, DomainError, InvalidParameterError
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets, match_sources
 from .jade import jade_separate
 
@@ -90,6 +91,10 @@ class TrialConfig:
     dB, "separation" values place the second source at
     sin(theta_2) = sin(theta_1) + value * (wavelength / aperture), and
     "none" runs a single point at the configured scenario.
+
+    Every instance is validated on construction, whether it comes from a
+    config file, from `with_overrides` or from `dataclasses.replace`; a
+    bad value raises `ConfigError`.
     """
 
     geometry: GeometrySpec
@@ -105,28 +110,102 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         if self.estimator not in ("bss_mf", "bss_nls"):
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"estimator must be 'bss_mf' or 'bss_nls', got {self.estimator!r}"
             )
         if self.sweep_axis not in ("none", "snr", "separation"):
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"sweep_axis must be 'none', 'snr' or 'separation', got {self.sweep_axis!r}"
             )
         if self.trials < 1:
-            raise InvalidParameterError("trials must be at least 1")
+            raise ConfigError("trials must be at least 1")
         values = np.asarray(self.sweep_values, dtype=float)
         if self.sweep_axis == "none":
             if values.size:
-                raise InvalidParameterError("sweep_values must be empty when sweep_axis is 'none'")
+                raise ConfigError("sweep_values must be empty when sweep_axis is 'none'")
         else:
             if not values.size:
-                raise InvalidParameterError(f"sweep_axis {self.sweep_axis!r} needs sweep_values")
+                raise ConfigError(f"sweep_axis {self.sweep_axis!r} needs sweep_values")
             if not np.all(np.isfinite(values)):
-                raise InvalidParameterError("sweep_values must be finite")
+                raise ConfigError("sweep_values must be finite")
             if np.any(np.diff(values) < 0):
-                raise InvalidParameterError("sweep_values must be sorted ascending")
+                raise ConfigError("sweep_values must be sorted ascending")
         if len(self.directions_deg) != len(self.amplitudes):
-            raise InvalidParameterError("directions_deg and amplitudes must have equal length")
+            raise ConfigError("directions_deg and amplitudes must have equal length")
+
+    def with_overrides(
+        self,
+        seed: Optional[int] = None,
+        trials: Optional[int] = None,
+        snr_db: Optional[float] = None,
+        estimator: Optional[str] = None,
+    ) -> "TrialConfig":
+        """A validated copy with every given (not None) value replaced."""
+        if snr_db is not None and self.sweep_axis == "snr":
+            raise ConfigError(
+                "snr_db cannot be overridden on an SNR sweep: the sweep sets each point's SNR"
+            )
+        changes = {}
+        if seed is not None:
+            changes["base_seed"] = int(seed)
+        if trials is not None:
+            changes["trials"] = int(trials)
+        if snr_db is not None:
+            changes["snr_db"] = float(snr_db)
+        if estimator is not None:
+            changes["estimator"] = estimator
+        return replace(self, **changes)
+
+    def trial_config(self) -> "TrialConfig":
+        """This config itself.
+
+        Kept only because the benchmark scripts still call
+        `load_packaged_config(name).trial_config()`.
+        """
+        return self
+
+    def as_dict(self) -> dict:
+        """Resolved config as plain data for the provenance sidecar."""
+        return {
+            "geometry": {
+                "layout": self.geometry.layout,
+                "subarrays": self.geometry.subarrays,
+                "elements": self.geometry.elements,
+                "spacing": self.geometry.spacing,
+                "aperture": self.geometry.aperture,
+                "wavelength": self.geometry.wavelength,
+                "seed": self.geometry.seed,
+            },
+            "sources": {
+                "directions_deg": list(self.directions_deg),
+                "amplitudes": [
+                    {
+                        "magnitude": abs(a),
+                        "phase_deg": math.degrees(math.atan2(a.imag, a.real)),
+                    }
+                    for a in self.amplitudes
+                ],
+            },
+            "noise": {"snr_db": self.snr_db},
+            "run": {
+                "estimator": self.estimator,
+                "grid": (
+                    None
+                    if self.grid_deg is None
+                    else {
+                        "start_deg": self.grid_deg[0],
+                        "stop_deg": self.grid_deg[1],
+                        "step_deg": self.grid_deg[2],
+                    }
+                ),
+                "seed": self.base_seed,
+                "trials": self.trials,
+                "sweep": {
+                    "axis": self.sweep_axis,
+                    "values": list(self.sweep_values),
+                },
+            },
+        }
 
 
 @dataclass(frozen=True)
@@ -151,10 +230,6 @@ class SweepPointReport:
     trials_failed: int
     estimates_deg: np.ndarray
     elapsed_s: float
-
-    @property
-    def valid(self) -> bool:
-        return self.trials_ok > 0
 
 
 @dataclass(frozen=True)
@@ -181,6 +256,25 @@ def _point_scenario(config: TrialConfig, sweep_value: Optional[float]) -> Tuple[
     return directions, 10.0 ** (-snr_db / 10.0)
 
 
+def trial_snapshot(
+    config: TrialConfig,
+    geometry: ArrayGeometry,
+    directions: Sequence[float],
+    noise_var: float,
+    sweep_index: int = 0,
+    trial_index: int = 0,
+) -> MeasurementMatrix:
+    """Synthesize the seeded snapshot of one trial.
+
+    The noise seed is `derive_seed(config.base_seed, sweep_index,
+    trial_index)`, so the same trial always sees the same snapshot.
+    """
+    seed = derive_seed(config.base_seed, sweep_index, trial_index)
+    scenario = SourceScenario(directions, config.amplitudes, noise_var, seed=seed)
+    snapshot, _ = synthesize(geometry, scenario)
+    return snapshot
+
+
 def run_trial(
     config: TrialConfig,
     trial_index: int,
@@ -200,10 +294,10 @@ def run_trial(
     if geometry is None:
         geometry = config.geometry.build()
     directions, noise_var = _point_scenario(config, sweep_value)
-    seed = derive_seed(config.base_seed, sweep_index, trial_index)
-    scenario = SourceScenario(directions, config.amplitudes, noise_var, seed=seed)
     try:
-        snapshot, _ = synthesize(geometry, scenario)
+        snapshot = trial_snapshot(
+            config, geometry, directions, noise_var, sweep_index, trial_index
+        )
         separation = jade_separate(snapshot.data, directions.size)
         offsets = estimate_phase_offsets(separation)
         mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
@@ -325,10 +419,10 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
         )
         estimates = []
         for trial in range(config.trials):
-            seed = derive_seed(config.base_seed, sweep_index, trial)
-            scenario = SourceScenario(directions, config.amplitudes, noise_var, seed=seed)
             try:
-                snapshot, _ = synthesize(geometry, scenario)
+                snapshot = trial_snapshot(
+                    config, geometry, directions, noise_var, sweep_index, trial
+                )
                 separated = jade_separate(snapshot.data, 2)
                 offsets = estimate_phase_offsets(separated)
             except NUMERICAL_ERRORS:

@@ -207,6 +207,43 @@ class TestErrors:
             "montecarlo", "--config", "fig6a", "--trials", "0", "--out", str(tmp_path),
         ) == 2
 
+    @pytest.mark.parametrize("command,sidecar", [("synth", "snapshot"), ("estimate", "spectra")])
+    def test_bad_override_fails_before_writing(self, config_path, tmp_path, command, sidecar):
+        out = tmp_path / "out"
+        assert run(command, "--config", config_path, "--trials", "0", "--out", str(out)) == 2
+        assert not (out / f"{sidecar}.json").exists()
+
+    def test_snr_override_refused_on_snr_sweep(self, tmp_path):
+        assert run(
+            "montecarlo", "--config", "fig6a", "--trials", "1", "--snr-db", "-300",
+            "--out", str(tmp_path),
+        ) == 2
+        assert not (tmp_path / "rmse.csv").exists()
+
+    def test_snr_override_accepted_on_separation_sweep(self, tmp_path):
+        assert run(
+            "orthogonality", "--config", "fig3", "--trials", "1", "--snr-db", "10",
+            "--out", str(tmp_path),
+        ) == 0
+        side = json.loads((tmp_path / "orthogonality.json").read_text())
+        assert side["config"]["noise"]["snr_db"] == 10.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("montecarlo", "--config", "fig6a", "--trials", "1"),
+            ("sweep", "--config", "fig6b", "--trials", "1"),
+            ("orthogonality", "--config", "fig3", "--trials", "1"),
+            ("synth", "--config", "experiment"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_add_only_where_it_is_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--out", str(tmp_path), "--add", str(tmp_path / "ghost.csv"))
+        assert exit_info.value.code == 2
+        assert "--add" in capsys.readouterr().err
+
     def test_numerical_failure_exit(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(CONFIG.replace("start_deg: -5.0", "start_deg: -95.0"))

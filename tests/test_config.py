@@ -107,6 +107,20 @@ class TestParse:
         with pytest.raises(ConfigError, match="estimator"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "run_lines,needle",
+        [
+            ("  trials: 0\n", "trials"),
+            ("  sweep: {axis: snr, values: [20.0, 10.0]}\n", "sorted"),
+            ("  sweep: {axis: none, values: [1.0]}\n", "empty"),
+            ("  sweep: {axis: separation}\n", "needs sweep_values"),
+        ],
+        ids=["zero-trials", "unsorted-sweep", "values-without-axis", "axis-without-values"],
+    )
+    def test_bad_values_rejected_at_load(self, run_lines, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(MINIMAL + run_lines)
+
 
 class TestOverrides:
     def test_each_field(self):
@@ -127,6 +141,16 @@ class TestOverrides:
         cfg = parse_config(MINIMAL)
         with pytest.raises(ConfigError):
             cfg.with_overrides(estimator="capon")
+
+    def test_bad_trials_override(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError, match="trials"):
+            cfg.with_overrides(trials=0)
+
+    def test_snr_override_refused_on_snr_sweep(self):
+        cfg = load_packaged_config("fig6a")
+        with pytest.raises(ConfigError, match="snr_db"):
+            cfg.with_overrides(snr_db=-300.0)
 
 
 class TestRoundTrip:
