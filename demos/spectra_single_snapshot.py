@@ -38,7 +38,10 @@ def run(name):
     print(f"\n=== {name}: truth {list(config.directions_deg)} deg, SNR {config.snr_db:.0f} dB ===")
     print(f"matched filter peaks: {np.round(np.sort(mf.directions_deg), 3)}")
     print(f"least-squares fit:    {np.round(np.sort(nls.directions_deg), 3)}")
-    print(f"descent iterations {nls.iterations}, final cost {nls.final_cost:.4g}")
+    print(
+        f"fit stopped: {nls.stop_reason} after {nls.iterations} iterations, "
+        f"final cost {nls.final_cost:.4g}"
+    )
     return config, mf
 
 

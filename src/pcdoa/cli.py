@@ -134,6 +134,7 @@ def _cmd_estimate(args) -> int:
         else None,
         "matched_filter_directions_deg": [float(v) for v in mf.directions_deg],
         "iterations": int(result.iterations),
+        "stop_reason": result.stop_reason,
         "final_cost": float(result.final_cost),
         "degenerate_phase_cells": int(np.count_nonzero(offsets.degenerate_flags)),
     }

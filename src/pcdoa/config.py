@@ -73,7 +73,9 @@ def _integer(node, key, where, default=None):
 def parse_config(text: str) -> TrialConfig:
     """Parse and validate one YAML config document."""
     try:
-        document = yaml.safe_load(text)
+        # libyaml parses about eight times faster; the pure-Python loader
+        # stays for hosts without it.
+        document = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     document = _require_mapping(document, "config")

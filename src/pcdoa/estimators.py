@@ -5,8 +5,8 @@ phases of each row estimate the unknown inter-subarray phase offsets of
 that source.  With those offsets in hand the array behaves as if it were
 calibrated, and directions follow either from matched-filter grid
 searches on the least-squares source columns (one per source) or from a
-joint nonlinear least-squares fit refined by alternating Armijo gradient
-descent.
+joint nonlinear least-squares fit refined by Levenberg-Marquardt
+(:func:`pcdoa.shared_displacement.levenberg_marquardt`).
 
 A pair that one subarray cannot resolve is the exception: there the
 separated offsets of the weaker source are close to noise, so
@@ -16,9 +16,10 @@ physical and made on the starting directions: a sine separation below
 a tenth of the subarray Rayleigh resolution wavelength / subarray
 length.
 
-Angles are degrees at every public interface; the descent itself runs in
-radians.  ``nls_cost_gradients`` is the radian-space kernel, exposed so
-its analytic gradients can be checked against finite differences.
+Angles are degrees at every public interface; the fit itself runs in
+radians.  ``nls_cost_gradients`` exposes the gradient -2 Re(J^H r) of the
+fit's residual r and Jacobian J, so they can be checked against finite
+differences.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .array_model import _offset_matrix, _steering_derivative, _steering_matrix
 from .errors import DomainError, InvalidParameterError
-from .shared_displacement import shared_displacement_fit, unresolved_pair
+from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
 __all__ = [
     "PhaseOffsetEstimate",
@@ -43,6 +44,10 @@ __all__ = [
     "bss_nls",
     "match_sources",
 ]
+
+
+# Relative cost decrease at which the Levenberg-Marquardt fit stops.
+_COST_TOLERANCE = 1e-10
 
 
 def _frozen(arr):
@@ -72,11 +77,12 @@ class PhaseOffsetEstimate:
 class DoaEstimate:
     """Direction estimates plus estimator-specific diagnostics.
 
-    ``spectra``/``grid`` are filled by the matched filter, ``amplitudes``
-    and ``cost_history`` by the least-squares refinement.  ``final_cost``
-    is the squared-residual objective for the NLS estimator and the
-    negative sum of matched-filter peak magnitudes for the grid search,
-    so lower is better for both.
+    ``spectra``/``grid`` are filled by the matched filter, ``amplitudes``,
+    ``cost_history`` and ``stop_reason`` (``"converged"``, ``"stalled"``
+    or ``"iteration_cap"``) by the least-squares refinement.
+    ``final_cost`` is the squared-residual objective for the NLS estimator
+    and the negative sum of matched-filter peak magnitudes for the grid
+    search, so lower is better for both.
     """
 
     directions_deg: np.ndarray
@@ -86,6 +92,7 @@ class DoaEstimate:
     iterations: int
     final_cost: float
     cost_history: tuple | None = None
+    stop_reason: str | None = None
 
     def __post_init__(self):
         theta = np.asarray(self.directions_deg, dtype=float)
@@ -206,96 +213,78 @@ def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
     C(theta, s) = sum_k || x_k - B(theta) Phi_k s ||^2 with the phase
     offsets held fixed.
     """
-    theta = np.radians(np.asarray(directions_deg, dtype=float))
-    cost, _ = _cost_and_residual(
+    return _cost(
+        _as_matrix(measurements),
+        geometry,
+        _offsets_matrix(offsets),
+        np.radians(np.asarray(directions_deg, dtype=float)),
+        np.asarray(amplitudes, dtype=complex),
+    )
+
+
+def _cost(x, geometry, phi, theta_rad, amplitudes):
+    residual = x - _steering_matrix(geometry, theta_rad) @ (phi * amplitudes[:, None])
+    return float(np.sum(np.abs(residual) ** 2))
+
+
+def _residual_jacobian(x, geometry, phi, theta_rad, amplitudes):
+    """Fixed-offset residual x - B(theta) (Phi * s), flattened, and the
+    model's Jacobian in the parameters (theta, Re s, Im s)."""
+    columns = _steering_matrix(geometry, theta_rad)[:, :, None] * phi
+    slopes = _steering_derivative(geometry, theta_rad)[:, :, None] * (phi * amplitudes[:, None])
+    residual = x - np.einsum("mlk,l->mk", columns, amplitudes)
+    jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
+    return residual.reshape(-1), np.swapaxes(jac, 1, 2).reshape(residual.size, -1)
+
+
+def _split(params):
+    """Radian directions and complex amplitudes of (theta, Re s, Im s)."""
+    count = params.size // 3
+    return params[:count], params[count : 2 * count] + 1j * params[2 * count :]
+
+
+def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
+    """Cost plus analytic gradients in the fit's parameterization.
+
+    Returns ``(cost, grad_theta, grad_s)`` where ``grad_theta`` is the
+    plain derivative with respect to the radian directions and
+    ``grad_s`` uses the convention g = 2 dC/d(conj s), so its real and
+    imaginary parts are the derivatives with respect to Re(s) and Im(s).
+    Both are -2 Re(J^H r) for the residual r and model Jacobian J that
+    ``bss_nls`` fits with.
+    """
+    theta = np.asarray(theta_rad, dtype=float)
+    residual, jac = _residual_jacobian(
         _as_matrix(measurements),
         geometry,
         _offsets_matrix(offsets),
         theta,
         np.asarray(amplitudes, dtype=complex),
     )
-    return cost
+    gradient = -2.0 * (jac.conj().T @ residual).real
+    grad_theta, grad_s = _split(gradient)
+    return float(np.sum(np.abs(residual) ** 2)), grad_theta, grad_s
 
 
-def _cost_and_residual(x, geometry, phi, theta_rad, amplitudes):
-    steering = _steering_matrix(geometry, theta_rad)
-    residual = x - steering @ (phi * amplitudes[:, None])
-    return float(np.sum(np.abs(residual) ** 2)), residual
-
-
-def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
-    """Cost plus analytic gradients in the descent parameterization.
-
-    Returns ``(cost, grad_theta, grad_s)`` where ``grad_theta`` is the
-    plain derivative with respect to the radian directions and
-    ``grad_s`` uses the convention g = 2 dC/d(conj s), so its real and
-    imaginary parts are the derivatives with respect to Re(s) and Im(s).
-    """
-    x = _as_matrix(measurements)
-    phi = _offsets_matrix(offsets)
-    theta = np.asarray(theta_rad, dtype=float)
-    s = np.asarray(amplitudes, dtype=complex)
-    steering = _steering_matrix(geometry, theta)
-    d_steering = _steering_derivative(geometry, theta)
-    residual = x - steering @ (phi * s[:, None])
-    cost = float(np.sum(np.abs(residual) ** 2))
-    projected = steering.conj().T @ residual
-    grad_s = -2.0 * np.sum(phi.conj() * projected, axis=1)
-    coupling = np.einsum("lk,kl->l", phi, residual.conj().T @ d_steering)
-    grad_theta = -2.0 * np.real(s * coupling)
-    return cost, grad_theta, grad_s
-
-
-def _armijo_step(current_cost, gradient_sq, trial, max_halvings, c1):
-    """Backtracking line search from unit step.
-
-    ``trial`` maps a step length to (point, cost), or None when the point
-    leaves the search domain.  Returns the first (point, cost) satisfying
-    the sufficient-decrease rule, or None if every halving failed.
-    """
-    step = 1.0
-    for _ in range(max_halvings + 1):
-        candidate = trial(step)
-        if candidate is not None:
-            point, cost = candidate
-            if cost <= current_cost - c1 * step * gradient_sq:
-                return point, cost
-        step *= 0.5
-    return None
-
-
-def bss_nls(
-    measurements,
-    geometry,
-    offsets,
-    init_directions_deg,
-    init_amplitudes=None,
-    max_iterations=500,
-    max_halvings=50,
-    sufficient_decrease=1e-4,
-    cost_tolerance=1e-10,
-):
+def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations=500):
     """Joint direction and amplitude fit, started from the grid peaks.
 
-    Two models, chosen from the starting directions:
+    Two models, chosen from the starting directions, both refined by
+    :func:`pcdoa.shared_displacement.levenberg_marquardt`:
 
     - A pair the subarrays cannot resolve (sine separation below a tenth
       of the subarray Rayleigh resolution wavelength / subarray length,
       mean sine nonzero, at least four subarrays) is fitted with subarray
-      displacements shared by both sources, found by a global search and
-      refined by Levenberg-Marquardt; see :mod:`pcdoa.shared_displacement`.  The separated offsets are not
-      used there, and neither are ``init_amplitudes``, ``max_halvings``
-      and ``sufficient_decrease``; ``max_iterations`` caps the final
-      Levenberg-Marquardt run and ``cost_tolerance`` ends it.
+      displacements shared by both sources, found by a global search
+      first; see :mod:`pcdoa.shared_displacement`.  The separated offsets
+      are not used there.
     - Every other set of directions keeps the separated offsets fixed and
-      fits C(theta, s) by alternating Armijo descent.  Starting from a
-      least-squares amplitude fit when ``init_amplitudes`` is omitted, it
-      alternates one gradient step in the amplitudes with one in the
-      directions, each with backtracking line search from unit step.  It
-      stops when the relative cost decrease of an iteration falls below
-      ``cost_tolerance``, when both line searches fail, or at
-      ``max_iterations``.
+      fits C(theta, s) in (theta, Re s, Im s), starting from the
+      least-squares amplitudes at the starting directions.
 
+    ``max_iterations`` caps the final Levenberg-Marquardt run, which also
+    ends when an accepted step lowers the cost by a relative 1e-10 or
+    less, or when no damping lowers it; ``stop_reason`` says which.
     ``final_cost`` and ``cost_history`` are the squared residual of the
     model that was fitted; accepted costs never increase.
     """
@@ -310,79 +299,41 @@ def bss_nls(
         raise InvalidParameterError("measurement shape does not match the geometry")
 
     if unresolved_pair(geometry, theta):
-        theta, s, history, iterations = shared_displacement_fit(
-            x, geometry, theta, int(max_iterations), cost_tolerance
+        theta, s, history, iterations, reason = shared_displacement_fit(
+            x, geometry, theta, max_iterations, _COST_TOLERANCE
         )
-        return DoaEstimate(
-            directions_deg=np.degrees(theta),
-            amplitudes=s,
-            spectra=None,
-            grid_deg=None,
-            iterations=iterations,
-            final_cost=history[-1],
-            cost_history=tuple(history),
-        )
-
-    if init_amplitudes is None:
-        s = _least_squares_amplitudes(x, geometry, phi, theta)
     else:
-        s = np.asarray(init_amplitudes, dtype=complex).copy()
+        s = _least_squares_amplitudes(x, geometry, phi, theta)
 
-    cost, _ = _cost_and_residual(x, geometry, phi, theta, s)
-    history = [cost]
-    iterations = 0
-    for _ in range(int(max_iterations)):
-        iterations += 1
-        previous = cost
-        _, _, grad_s = nls_cost_gradients(x, geometry, phi, theta, s)
-        norm_sq = float(np.sum(np.abs(grad_s) ** 2))
-        moved = False
-        if norm_sq > 0:
+        def residual_jacobian(params):
+            pairs = [_residual_jacobian(x, geometry, phi, *_split(p)) for p in params]
+            return np.array([r for r, _ in pairs]), np.array([j for _, j in pairs])
 
-            def trial_s(step):
-                candidate = s - step * grad_s
-                value, _ = _cost_and_residual(x, geometry, phi, theta, candidate)
-                return candidate, value
+        def costs(params):
+            return np.array([_cost(x, geometry, phi, *_split(p)) for p in params])
 
-            accepted = _armijo_step(
-                cost, norm_sq, trial_s, max_halvings, sufficient_decrease
-            )
-            if accepted is not None:
-                s, cost = accepted
-                moved = True
+        def inside(params):
+            return np.all(np.abs(params[:, : theta.size]) < np.pi / 2, axis=1)
 
-        _, grad_theta, _ = nls_cost_gradients(x, geometry, phi, theta, s)
-        norm_sq = float(np.sum(grad_theta**2))
-        if norm_sq > 0:
-
-            def trial_theta(step):
-                candidate = theta - step * grad_theta
-                if not np.all(np.abs(candidate) < np.pi / 2):
-                    return None
-                value, _ = _cost_and_residual(x, geometry, phi, candidate, s)
-                return candidate, value
-
-            accepted = _armijo_step(
-                cost, norm_sq, trial_theta, max_halvings, sufficient_decrease
-            )
-            if accepted is not None:
-                theta, cost = accepted
-                moved = True
-
-        history.append(cost)
-        if not moved:
-            break
-        if previous - cost < cost_tolerance * max(previous, 1e-300):
-            break
-
+        params, _, histories, steps, reasons = levenberg_marquardt(
+            np.concatenate([theta, s.real, s.imag])[None, :],
+            residual_jacobian,
+            costs,
+            inside,
+            max_iterations,
+            _COST_TOLERANCE,
+        )
+        theta, s = _split(params[0])
+        history, iterations, reason = histories[0], steps[0], reasons[0]
     return DoaEstimate(
         directions_deg=np.degrees(theta),
         amplitudes=s,
         spectra=None,
         grid_deg=None,
-        iterations=iterations,
-        final_cost=cost,
-        cost_history=tuple(history),
+        iterations=int(iterations),
+        final_cost=float(history[-1]),
+        cost_history=tuple(float(cost) for cost in history),
+        stop_reason=reason,
     )
 
 

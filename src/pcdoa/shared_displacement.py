@@ -30,8 +30,10 @@ from a global search:
 3. A constant-modulus separation of the two source rows (ACMA, van der
    Veen & Paulraj, IEEE TSP 1996), exact without noise, gives further
    starts: q is read off the phase vernier of the two rows.
-4. Every start is polished by a short Levenberg-Marquardt run on the full
-   model and the lowest cost wins.
+4. Every start is polished by a short run of :func:`levenberg_marquardt`
+   on the full model, all starts as one stack, and the lowest cost wins.
+   The same function fits the fixed-offset model of
+   :func:`pcdoa.estimators.bss_nls`.
 5. Step 2 is repeated on a grid twice as fine around the winner, started
    from its amplitudes, with each branch phase corrected for the pull of
    the weaker source on arg(y_k); the new starts are polished as in 4,
@@ -92,20 +94,20 @@ def unresolved_pair(geometry, theta_rad):
 def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_tolerance):
     """Fit two directions sharing unknown subarray displacements.
 
-    Returns ``(theta_rad, amplitudes, cost_history, iterations)``; the
-    directions are ordered to match ``theta_rad`` as closely as possible,
-    and ``cost_history`` is the accepted-cost sequence of the final
-    Levenberg-Marquardt run.
+    Returns ``(theta_rad, amplitudes, cost_history, iterations,
+    stop_reason)``; the directions are ordered to match ``theta_rad`` as
+    closely as possible, and ``cost_history`` and ``stop_reason`` belong to
+    the final Levenberg-Marquardt run.
     """
     fit = _Fit(x, geometry, theta_rad)
     starts = fit.modulus_starts(fit.initial_moduli(), fit.q_grid, _STARTS_FIRST, pull=False)
     best = fit.best_of(starts + fit.vernier_starts())
     moduli, grid = fit.around(best[0])
     best = fit.best_of(fit.modulus_starts(moduli, grid, _STARTS_REFINED, pull=True), best)
-    params, _, histories, iterations = fit.polish(
+    params, _, histories, iterations, reasons = fit.polish(
         best[0][None, :], max_iterations, cost_tolerance, refit_amplitudes=False
     )
-    params, history = params[0], [float(cost) for cost in histories[0]]
+    params, history = params[0], histories[0]
     u = params[0] * np.array([1.0, params[1]])
     amplitudes = params[fit.K + 1 : fit.K + 3] + 1j * params[fit.K + 3 : fit.K + 5]
     theta = np.arcsin(u)
@@ -113,7 +115,7 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_toleran
         theta[1] - theta_rad[0]
     ) + abs(theta[0] - theta_rad[1]):
         theta, amplitudes = theta[::-1], amplitudes[::-1]
-    return theta, amplitudes, history, int(best[2] + iterations[0])
+    return theta, amplitudes, history, int(best[2] + iterations[0]), reasons[0]
 
 
 class _Fit:
@@ -269,7 +271,7 @@ class _Fit:
         params = np.array(
             [np.concatenate(([self.u_ref, 1.0 + q], phi[1:], np.zeros(4))) for q, phi in starts]
         )
-        params, costs, _, iterations = self.polish(
+        params, costs, _, iterations, _ = self.polish(
             params, _START_ITERATIONS, 0.0, refit_amplitudes=True
         )
         i = int(np.argmin(costs))
@@ -314,67 +316,91 @@ class _Fit:
         return residual.reshape(count, -1), jac.reshape(count, self.M * K, K + 5)
 
     def polish(self, params, max_iterations, tolerance, refit_amplitudes):
-        """Levenberg-Marquardt on the full model for a stack of S parameter
-        vectors, each with its own damping.
-
-        Returns (params, costs, accepted-cost histories, iterations), one
-        entry per vector.  A vector stops when its relative cost decrease
-        falls to ``tolerance``, when no damping finds a lower cost, or at
-        ``max_iterations``.
-        """
+        """:func:`levenberg_marquardt` on the full model for a stack of
+        parameter vectors, optionally after refitting their amplitudes."""
         params = np.array(params, dtype=float)
-        count, size = params.shape
-        K = self.K
         if refit_amplitudes:
+            K = self.K
             # The pseudo-inverse also covers starts whose two sines coincide.
-            basis = self._model(params)[0].reshape(count, self.M * K, 2)
+            basis = self._model(params)[0].reshape(len(params), self.M * K, 2)
             s = (np.linalg.pinv(basis) @ self.x.reshape(-1, 1))[..., 0]
             params[:, K + 1 : K + 3], params[:, K + 3 : K + 5] = s.real, s.imag
-        costs = self._costs(params)
-        histories = [[cost] for cost in costs]
-        damping = np.full(count, 1e-3)
-        iterations = np.zeros(count, dtype=int)
-        active = np.ones(count, dtype=bool)
-        for _ in range(int(max_iterations)):
-            live = np.flatnonzero(active)
-            if live.size == 0:
+        return levenberg_marquardt(
+            params, self._jacobian, self._costs, _sines_inside, max_iterations, tolerance
+        )
+
+
+def _sines_inside(params):
+    """Both sines u and u * rho strictly inside (-1, 1)."""
+    return (np.abs(params[:, 0]) < 1) & (np.abs(params[:, 0] * params[:, 1]) < 1)
+
+
+def levenberg_marquardt(params, residual_jacobian, costs, inside, max_iterations, tolerance):
+    """Levenberg-Marquardt for a stack of S real parameter vectors, each
+    with its own damping.
+
+    ``residual_jacobian(params)`` returns the S residuals x - model,
+    flattened, and the S Jacobians of the model; ``costs(params)`` returns
+    the S squared residuals; ``inside(params)`` is False where a vector
+    leaves the model's domain.  Returns (params, costs, accepted-cost
+    histories, iterations, stop reasons), one entry per vector.  A vector
+    stops ``"converged"`` when its relative cost decrease falls to
+    ``tolerance``, ``"stalled"`` when no damping finds a lower cost, and
+    ``"iteration_cap"`` after ``max_iterations``.
+    """
+    params = np.array(params, dtype=float)
+    count, size = params.shape
+    costs_now = costs(params)
+    histories = [[cost] for cost in costs_now]
+    damping = np.full(count, 1e-3)
+    iterations = np.zeros(count, dtype=int)
+    reasons = ["iteration_cap"] * count
+    active = np.ones(count, dtype=bool)
+    for _ in range(int(max_iterations)):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        iterations[live] += 1
+        residual, jac = residual_jacobian(params[live])
+        adjoint = np.conj(np.swapaxes(jac, 1, 2))
+        normal = (adjoint @ jac).real
+        gradient = (adjoint @ residual[..., None]).real
+        scale = np.diagonal(normal, axis1=1, axis2=2).copy()
+        scale[scale == 0] = 1.0
+        pending = np.arange(live.size)
+        for _ in range(30):
+            if pending.size == 0:
                 break
-            iterations[live] += 1
-            residual, jac = self._jacobian(params[live])
-            adjoint = np.conj(np.swapaxes(jac, 1, 2))
-            normal = (adjoint @ jac).real
-            gradient = (adjoint @ residual[..., None]).real
-            scale = np.diagonal(normal, axis1=1, axis2=2).copy()
-            scale[scale == 0] = 1.0
-            pending = np.arange(live.size)
-            for _ in range(30):
-                if pending.size == 0:
-                    break
-                rows = live[pending]
-                system = normal[pending] + damping[rows, None, None] * (
-                    scale[pending, :, None] * np.eye(size)
-                )
-                try:
-                    trial = params[rows] + np.linalg.solve(system, gradient[pending])[..., 0]
-                except np.linalg.LinAlgError:
-                    damping[rows] *= 10.0
-                    continue
-                inside = (np.abs(trial[:, 0]) < 1) & (np.abs(trial[:, 0] * trial[:, 1]) < 1)
-                trial_costs = np.full(rows.size, np.inf)
-                if inside.any():
-                    trial_costs[inside] = self._costs(trial[inside])
-                better = trial_costs < costs[rows]
-                won = rows[better]
-                previous = costs[won]
-                params[won], costs[won] = trial[better], trial_costs[better]
-                for i in won:
-                    histories[i].append(costs[i])
-                damping[won] = np.maximum(damping[won] / 10.0, 1e-12)
-                active[won[previous - costs[won] <= tolerance * previous]] = False
-                damping[rows[~better]] *= 10.0
-                pending = pending[~better]
-            active[live[pending]] = False
-        return params, costs, histories, iterations
+            rows = live[pending]
+            system = normal[pending] + damping[rows, None, None] * (
+                scale[pending, :, None] * np.eye(size)
+            )
+            try:
+                trial = params[rows] + np.linalg.solve(system, gradient[pending])[..., 0]
+            except np.linalg.LinAlgError:
+                damping[rows] *= 10.0
+                continue
+            valid = inside(trial)
+            trial_costs = np.full(rows.size, np.inf)
+            if valid.any():
+                trial_costs[valid] = costs(trial[valid])
+            better = trial_costs < costs_now[rows]
+            won = rows[better]
+            previous = costs_now[won]
+            params[won], costs_now[won] = trial[better], trial_costs[better]
+            for i in won:
+                histories[i].append(costs_now[i])
+            damping[won] = np.maximum(damping[won] / 10.0, 1e-12)
+            done = won[previous - costs_now[won] <= tolerance * previous]
+            active[done] = False
+            for i in done:
+                reasons[i] = "converged"
+            damping[rows[~better]] *= 10.0
+            pending = pending[~better]
+        active[live[pending]] = False
+        for i in live[pending]:
+            reasons[i] = "stalled"
+    return params, costs_now, histories, iterations, reasons
 
 
 def _pull(a, c, q, phi):

@@ -69,6 +69,10 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("- just\n- a\n- list\n")
 
+    def test_malformed_yaml(self):
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            parse_config("geometry: [1, 2\n")
+
     @pytest.mark.parametrize(
         "needle,key",
         [

@@ -259,16 +259,40 @@ class TestNls:
             assert history.size >= 1
             assert np.all(np.diff(history) <= 1e-12)
 
-    def test_amplitudes_recovered_noiseless(self):
+    @pytest.mark.parametrize(
+        "truth,amps,shift",
+        [
+            ([-20.0, 30.0], [2.0 * np.exp(0.3j), 0.7 * np.exp(-1.1j)], [0.2, -0.2]),
+            (
+                [-20.0, 5.0, 30.0],
+                [2.0 * np.exp(0.3j), 1.5 * np.exp(2.0j), 0.7 * np.exp(-1.1j)],
+                [0.2, -0.2, 0.2],
+            ),
+        ],
+        ids=["two-sources", "three-sources"],
+    )
+    def test_amplitudes_recovered_noiseless(self, truth, amps, shift):
         geometry = small_geometry()
-        truth = np.array([-20.0, 30.0])
-        amps = np.array([2.0 * np.exp(0.3j), 0.7 * np.exp(-1.1j)])
+        truth, amps = np.array(truth), np.array(amps)
         scenario = SourceScenario(truth, amps, 0.0, seed=6)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians(truth))
-        result = bss_nls(snapshot.data, geometry, offsets, truth + [0.2, -0.2])
+        result = bss_nls(snapshot.data, geometry, offsets, truth + shift)
         order = match_sources(result.directions_deg, truth)
         assert np.allclose(result.amplitudes[list(order)], amps, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "truth,grid",
+        [([1.2, 14.2], (0.0, 16.0, 0.01)), ([1.2, 1.4], (0.5, 2.5, 0.01))],
+        ids=["fixed-offsets", "shared-displacements"],
+    )
+    def test_stop_reason(self, truth, grid):
+        snapshot, geometry, offsets, mf = noisy_pair(truth, grid, seed=3)
+        result = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
+        assert result.stop_reason == "converged"
+        capped = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg, max_iterations=1)
+        assert capped.stop_reason == "iteration_cap"
+        assert mf.stop_reason is None
 
     def test_rejects_out_of_domain_start(self):
         geometry = small_geometry()
@@ -348,6 +372,28 @@ class TestEndToEnd:
         order = match_sources(result.directions_deg, truth)
         aligned = result.directions_deg[list(order)]
         assert np.max(np.abs(aligned - truth)) < 0.2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_pair_noisy_nls_converges(self, seed):
+        # The fit must end at a stationary point of its own cost, quickly.
+        snapshot, geometry, offsets, mf = noisy_pair([1.2, 14.2], (0.0, 16.0, 0.01), seed)
+        result = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
+        _, grad_theta, _ = nls_cost_gradients(
+            snapshot.data, geometry, offsets, np.radians(result.directions_deg), result.amplitudes
+        )
+        assert result.iterations <= 10
+        assert np.max(np.abs(grad_theta)) <= 1e-3
+
+
+def noisy_pair(truth, grid, seed):
+    """Paper array, noise variance 0.01: snapshot, geometry, JADE offsets
+    and the matched-filter estimate that starts ``bss_nls``."""
+    geometry = paper_geometry()
+    amps = [np.exp(1j * np.pi / 5), 3 * np.exp(1j * 3 * np.pi / 5)]
+    snapshot, _ = synthesize(geometry, SourceScenario(truth, amps, 0.01, seed=seed))
+    offsets = estimate_phase_offsets(jade_separate(snapshot.data, 2))
+    mf = bss_mf(snapshot.data, geometry, offsets, grid)
+    return snapshot, geometry, offsets, mf
 
 
 def blind_chain(geometry, truth, amps, grid):
