@@ -4,7 +4,9 @@ Each subcommand reads one config (a path, or the bare name of a packaged
 config such as `fig6b`), applies flag overrides, runs the experiment and
 writes plot-ready CSV files plus a JSON sidecar holding the resolved
 config and library version. Outputs are deterministic for a given config
-and seed: re-running a command overwrites byte-identical files.
+and seed: re-running a command overwrites byte-identical files. Floats
+are written as Python `repr`, so `-0.0`, `nan` and `inf` appear as
+Python prints them.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,15 +28,11 @@ from .errors import NUMERICAL_ERRORS, ConfigError, InvalidParameterError, Snapsh
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets
 from .harness import TrialConfig, monte_carlo, orthogonality_experiment, trial_snapshot
 from .jade import jade_separate
-from .snapshot_io import superpose_snapshots, write_snapshot_csv
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
+from .snapshot_io import superpose_snapshots, write_csv, write_snapshot_csv
 
 
 def _resolve_config(ref: str) -> TrialConfig:
-    if os.path.exists(ref):
+    if os.path.isfile(ref):
         return load_config(ref)
     base = os.path.basename(ref)
     if base == ref and not ref.endswith(".yaml"):
@@ -60,17 +59,7 @@ def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, e
         payload.update(extra)
     path = os.path.join(out_dir, f"{name}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_csv(out_dir: str, name: str, header: List[str], rows) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
-    return path
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _synthesize_snapshot(config: TrialConfig, geometry):
@@ -116,11 +105,15 @@ def _cmd_estimate(args) -> int:
     separated = jade_separate(snapshot.data, sources)
     offsets = estimate_phase_offsets(separated)
     mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
-    rows = []
-    for l in range(sources):
-        for g, value in zip(mf.grid_deg, mf.spectra[l]):
-            rows.append([_fmt(g), str(l + 1), _fmt(value)])
-    _write_csv(args.out, "spectra.csv", ["theta_deg", "source_index", "value"], rows)
+    write_csv(
+        os.path.join(args.out, "spectra.csv"),
+        ["theta_deg", "source_index", "value"],
+        [
+            np.tile(mf.grid_deg, sources),
+            np.repeat(np.arange(1, sources + 1), len(mf.grid_deg)),
+            mf.spectra.ravel(),
+        ],
+    )
     result = mf
     if config.estimator == "bss_nls":
         result = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
@@ -151,15 +144,11 @@ def _cmd_estimate(args) -> int:
 def _cmd_orthogonality(args) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
     points = orthogonality_experiment(config)
-    rows = [
-        [_fmt(p.separation_over_delta), _fmt(p.truth), _fmt(p.estimate)]
-        for p in points
-    ]
-    _write_csv(
-        args.out,
-        "orthogonality.csv",
+    rows = np.array([(p.separation_over_delta, p.truth, p.estimate) for p in points], dtype=float)
+    write_csv(
+        os.path.join(args.out, "orthogonality.csv"),
         ["separation_over_delta", "truth", "estimate"],
-        rows,
+        rows.T,
     )
     failed = sum(config.trials - p.trials_ok for p in points)
     _write_sidecar(
@@ -179,52 +168,37 @@ def _run_monte_carlo(args, command: str) -> int:
     if config.grid_deg is None:
         raise ConfigError(f"{command} needs run.grid in the config")
     report = monte_carlo(config)
-    rows = [
-        [
-            _fmt(p.sweep_value),
-            _fmt(p.rmse_deg),
-            _fmt(p.resolve_rate),
-            str(p.trials_ok),
-        ]
-        for p in report.points
-    ]
-    _write_csv(
-        args.out,
-        "rmse.csv",
+    points = report.points
+    rows = np.array([(p.sweep_value, p.rmse_deg, p.resolve_rate) for p in points], dtype=float)
+    write_csv(
+        os.path.join(args.out, "rmse.csv"),
         ["sweep_value", "rmse_deg", "resolve_rate", "trials_ok"],
-        rows,
+        [*rows.T, np.array([p.trials_ok for p in points], dtype=int)],
     )
     _write_sidecar(
         args.out,
         "rmse",
         command,
         config,
-        extra={
-            "trials_failed": [int(p.trials_failed) for p in report.points],
-        },
+        extra={"trials_failed": [int(p.trials_failed) for p in points]},
     )
     return 0
-
-
-def _cmd_montecarlo(args) -> int:
-    return _run_monte_carlo(args, "montecarlo")
-
-
-def _cmd_sweep(args) -> int:
-    return _run_monte_carlo(args, "sweep")
 
 
 _COMMANDS = {
     "synth": _cmd_synth,
     "estimate": _cmd_estimate,
     "orthogonality": _cmd_orthogonality,
-    "montecarlo": _cmd_montecarlo,
-    "sweep": _cmd_sweep,
+    "montecarlo": functools.partial(_run_monte_carlo, command="montecarlo"),
+    "sweep": functools.partial(_run_monte_carlo, command="sweep"),
     "ingest": _cmd_ingest,
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process. It binds no command function, and `--add`
+    # defaults to None so that no list is shared between calls.
     parser = argparse.ArgumentParser(
         prog="pcdoa",
         description="Single-snapshot direction finding with partly calibrated arrays.",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _offset_matrix, _steering_derivative, _steering_matrix
+from .array_model import _steering_derivative, _steering_matrix
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 

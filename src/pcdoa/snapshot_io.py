@@ -3,6 +3,7 @@
 One file holds one M-bar x K snapshot as rows of
 `element_index,subarray_index,real,imag` with 1-based indices. Values
 are written with repr precision so a write / read round trip is exact.
+`write_csv` is the one CSV writer; the CLI writes its result tables with it.
 """
 
 from __future__ import annotations
@@ -18,22 +19,40 @@ from .errors import SnapshotFormatError
 HEADER = ("element_index", "subarray_index", "real", "imag")
 
 
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under `header` as one CSV file.
+
+    Integer columns print with `str`; every other column prints each
+    value as `repr(float(v))`, so `5` reads `5.0`, and `-0.0`, `nan` and
+    `inf` appear as Python prints them. The text is built in bulk and
+    written in one call.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        if values.dtype.kind in "iu":
+            cells.append(map(str, values.tolist()))
+        else:
+            cells.append(map(repr, values.astype(float).tolist()))
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_snapshot_csv(path, snapshot: Union[MeasurementMatrix, np.ndarray]) -> None:
     """Write a snapshot matrix to `path` in the standard CSV layout.
 
     Rows are emitted element-major then subarray, matching the reader's
     expectation of complete coverage in any order.
     """
-    data = np.asarray(getattr(snapshot, "data", snapshot))
+    data = np.asarray(getattr(snapshot, "data", snapshot), dtype=complex)
     if data.ndim != 2:
         raise SnapshotFormatError("snapshot must be a 2-D matrix")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HEADER)
-        for m in range(data.shape[0]):
-            for k in range(data.shape[1]):
-                value = complex(data[m, k])
-                writer.writerow([m + 1, k + 1, repr(value.real), repr(value.imag)])
+    elements, subarrays = data.shape
+    element_index = np.repeat(np.arange(1, elements + 1), subarrays)
+    subarray_index = np.tile(np.arange(1, subarrays + 1), elements)
+    write_csv(path, HEADER, (element_index, subarray_index, data.real.ravel(), data.imag.ravel()))
 
 
 def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:

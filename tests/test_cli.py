@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from pcdoa import cli
 from pcdoa.cli import main
 
 CONFIG = """
@@ -70,6 +73,65 @@ class TestEstimate:
             "  grid: {start_deg: -5.0, stop_deg: 15.0, step_deg: 0.1}\n", ""
         ))
         assert run("estimate", "--config", str(path), "--out", str(tmp_path)) == 2
+
+
+    def test_spectra_print_like_per_cell_repr(self, config_path, tmp_path, monkeypatch):
+        special = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 5.0, float("nan")]
+        written = []
+        library_bss_mf = cli.bss_mf
+
+        def bss_mf(*args):
+            result = library_bss_mf(*args)
+            spectra = np.array(result.spectra)
+            grid = np.array(result.grid_deg)
+            spectra[1, : len(special)] = special
+            grid[-len(special):] = special
+            written.append(dataclasses.replace(result, spectra=spectra, grid_deg=grid))
+            return written[-1]
+
+        monkeypatch.setattr(cli, "bss_mf", bss_mf)
+        assert run("estimate", "--config", config_path, "--out", str(tmp_path)) == 0
+        mf = written[0]
+        expected = ["theta_deg,source_index,value"]
+        for l in range(mf.spectra.shape[0]):
+            for g, value in zip(mf.grid_deg, mf.spectra[l]):
+                expected.append(f"{repr(float(g))},{l + 1},{repr(float(value))}")
+        lines = (tmp_path / "spectra.csv").read_text().splitlines()
+        assert lines == expected
+        assert "-5.0,2,-0.0" in lines and lines[-1].startswith("nan,2,")
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_runs(self, config_path, tmp_path):
+        assert run("synth", "--config", config_path, "--out", str(tmp_path)) == 0
+        snap = str(tmp_path / "snapshot.csv")
+        calls = [
+            ("--add", snap, "--add", snap),
+            ("--add", snap),
+            (),
+            ("--estimator", "bss_mf"),
+            (),
+        ]
+
+        def estimate(out, flags):
+            assert run("estimate", "--config", config_path, "--out", str(out), *flags) == 0
+            side = json.loads((out / "spectra.json").read_text())
+            return side["inputs"], side["estimates"]["estimator"]
+
+        reused = [estimate(tmp_path / f"reused{i}", flags) for i, flags in enumerate(calls)]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for i, flags in enumerate(calls):
+            cli._build_parser.cache_clear()
+            fresh.append(estimate(tmp_path / f"fresh{i}", flags))
+        assert reused == fresh
+        assert reused == [
+            ([snap, snap], "bss_nls"),
+            ([snap], "bss_nls"),
+            ([], "bss_nls"),
+            ([], "bss_mf"),
+            ([], "bss_nls"),
+        ]
 
 
 class TestSnapshotChain:
@@ -159,6 +221,15 @@ class TestMonteCarlo:
         assert lines[0] == "sweep_value,rmse_deg,resolve_rate,trials_ok"
         assert len(lines) == 1 + 9  # snr sweep 0..40 in 5 dB steps
 
+    def test_integer_sweep_values_print_as_floats(self, config_path, tmp_path):
+        path = tmp_path / "sweep.yaml"
+        sweep = "  trials: 1\n  sweep: {axis: snr, values: [5, 10]}\n"
+        path.write_text(CONFIG.replace("  trials: 1\n", sweep))
+        assert run("montecarlo", "--config", str(path), "--out", str(tmp_path)) == 0
+        rows = [line.split(",") for line in (tmp_path / "rmse.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["5.0", "10.0"]
+        assert [row[3] for row in rows] == ["1", "1"]
+
     def test_single_point_without_sweep(self, config_path, tmp_path):
         assert run(
             "montecarlo", "--config", config_path, "--trials", "3",
@@ -198,6 +269,11 @@ class TestErrors:
             "estimate", "--config", str(tmp_path / "none.yaml"),
             "--out", str(tmp_path),
         ) == 2
+
+    def test_packaged_name_beside_same_named_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("estimate", "--config", "fig5a", "--out", "fig5a") == 0
+        assert (tmp_path / "fig5a" / "spectra.csv").exists()
 
     def test_unknown_packaged_name(self, tmp_path):
         assert run("estimate", "--config", "fig99", "--out", str(tmp_path)) == 2

@@ -3,7 +3,12 @@ import pytest
 
 from pcdoa.array_model import SourceScenario, build_geometry, synthesize
 from pcdoa.errors import SnapshotFormatError
-from pcdoa.snapshot_io import ingest_snapshot_csv, superpose_snapshots, write_snapshot_csv
+from pcdoa.snapshot_io import (
+    ingest_snapshot_csv,
+    superpose_snapshots,
+    write_csv,
+    write_snapshot_csv,
+)
 
 
 def geometry():
@@ -52,6 +57,53 @@ class TestRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+# Values whose printed form is easy to get wrong: signed zero, the
+# smallest subnormal, exponent notation both ways, a rounding artefact,
+# an integer-valued float and nan.
+SPECIAL = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 5.0, float("nan")]
+
+
+def special_matrix():
+    """A 3x4 complex matrix holding every SPECIAL value in both parts."""
+    values = np.array(SPECIAL + [0.25] * 5)
+    data = np.empty((3, 4), dtype=complex)
+    data.real = values.reshape(3, 4)
+    data.imag = values[::-1].reshape(3, 4)
+    return data
+
+
+class TestCsvFormat:
+    def test_columns_print_like_per_cell_repr(self, tmp_path):
+        path = tmp_path / "table.csv"
+        index = np.arange(1, len(SPECIAL) + 1)
+        write_csv(path, ["index", "value"], [index, np.array(SPECIAL)])
+        expected = ["index,value"] + [
+            f"{i},{repr(float(v))}" for i, v in zip(range(1, len(SPECIAL) + 1), SPECIAL)
+        ]
+        assert path.read_text().splitlines() == expected
+        assert "6,5.0" in expected and "7,nan" in expected and "1,-0.0" in expected
+
+    def test_snapshot_matches_per_cell_writer(self, tmp_path):
+        data = special_matrix()
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, data)
+        expected = ["element_index,subarray_index,real,imag"]
+        for m in range(data.shape[0]):
+            for k in range(data.shape[1]):
+                value = complex(data[m, k])
+                expected.append(f"{m + 1},{k + 1},{repr(value.real)},{repr(value.imag)}")
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_special_values_round_trip(self, tmp_path):
+        data = special_matrix()
+        data[np.isnan(data.real)] = 0.25
+        data[np.isnan(data.imag)] = 0.25
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, data)
+        back = ingest_snapshot_csv(path, geometry())
+        assert np.array_equal(back.data, data)
 
 
 class TestIngestValidation:
