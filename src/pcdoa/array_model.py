@@ -287,11 +287,13 @@ def _steering_matrix(geometry, theta_rad):
     )
 
 
-def _steering_derivative(geometry, theta_rad):
-    """Entrywise d/d theta of the steering matrix, theta in radians."""
+def _steering_derivative(geometry, theta_rad, b=None):
+    """Entrywise d/d theta of the steering matrix ``b`` (computed when not
+    given), theta in radians."""
     theta_rad = np.atleast_1d(np.asarray(theta_rad, dtype=float))
     wavenumber = 2.0 * np.pi / geometry.wavelength
-    b = _steering_matrix(geometry, theta_rad)
+    if b is None:
+        b = _steering_matrix(geometry, theta_rad)
     scale = 1j * wavenumber * geometry.intra_displacements[:, None] * np.cos(theta_rad)[None, :]
     return scale * b
 

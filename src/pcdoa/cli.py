@@ -180,7 +180,10 @@ def _run_monte_carlo(args, command: str) -> int:
         "rmse",
         command,
         config,
-        extra={"trials_failed": [int(p.trials_failed) for p in points]},
+        extra={
+            "trials_failed": [int(p.trials_failed) for p in points],
+            "failures_by_type": [p.failures for p in points],
+        },
     )
     return 0
 

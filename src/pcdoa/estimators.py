@@ -24,12 +24,13 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _steering_derivative, _steering_matrix
+from .array_model import ArrayGeometry, _steering_derivative, _steering_matrix
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
@@ -173,7 +174,10 @@ def bss_mf(measurements, geometry, offsets, grid):
     its peak.
 
     ``grid`` is either a (start, stop, step) triple in degrees or an
-    explicit 1-D array of angles.
+    explicit 1-D array of angles.  The grid's steering dictionary depends
+    only on the wavelength, the element displacements inside a subarray
+    and the grid, so it is computed once per (wavelength, element
+    displacements, grid) and reused, read-only, by later calls.
     """
     x = _as_matrix(measurements)
     phi = _offsets_matrix(offsets)
@@ -183,7 +187,11 @@ def bss_mf(measurements, geometry, offsets, grid):
     if phi.shape[1] != geometry.subarray_count:
         raise InvalidParameterError("offsets must have one column per subarray")
     columns = _source_columns(x, phi)
-    steering = _steering_matrix(geometry, np.radians(grid_deg))
+    steering = _grid_steering(
+        float(geometry.wavelength),
+        geometry.intra_displacements.tobytes(),
+        np.asarray(grid_deg, dtype=float).tobytes(),
+    )
     spectra = np.abs(columns.conj().T @ steering)
     peak_index = np.argmax(spectra, axis=1)
     peaks = spectra[np.arange(spectra.shape[0]), peak_index]
@@ -195,6 +203,16 @@ def bss_mf(measurements, geometry, offsets, grid):
         iterations=0,
         final_cost=-float(peaks.sum()),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_steering(wavelength, displacements, grid_deg):
+    """Read-only steering matrix of a degree grid, keyed by value: the
+    wavelength and the float64 bytes of the element displacements and of
+    the grid.  The subarray offsets do not enter it, so a one-subarray
+    geometry with the same elements builds it."""
+    geometry = ArrayGeometry(wavelength, np.frombuffer(displacements), np.zeros(1))
+    return _frozen(_steering_matrix(geometry, np.radians(np.frombuffer(grid_deg))))
 
 
 def _source_columns(x, phi):
@@ -230,8 +248,11 @@ def _cost(x, geometry, phi, theta_rad, amplitudes):
 def _residual_jacobian(x, geometry, phi, theta_rad, amplitudes):
     """Fixed-offset residual x - B(theta) (Phi * s), flattened, and the
     model's Jacobian in the parameters (theta, Re s, Im s)."""
-    columns = _steering_matrix(geometry, theta_rad)[:, :, None] * phi
-    slopes = _steering_derivative(geometry, theta_rad)[:, :, None] * (phi * amplitudes[:, None])
+    steering = _steering_matrix(geometry, theta_rad)
+    columns = steering[:, :, None] * phi
+    slopes = _steering_derivative(geometry, theta_rad, steering)[:, :, None] * (
+        phi * amplitudes[:, None]
+    )
     residual = x - np.einsum("mlk,l->mk", columns, amplitudes)
     jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
     return residual.reshape(-1), np.swapaxes(jac, 1, 2).reshape(residual.size, -1)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,11 +224,15 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SweepPointReport:
+    """Aggregate of one sweep point; ``failures`` counts the failed
+    trials by exception type name."""
+
     sweep_value: float
     rmse_deg: float
     resolve_rate: float
     trials_ok: int
     trials_failed: int
+    failures: Mapping[str, int]
     estimates_deg: np.ndarray
     elapsed_s: float
 
@@ -342,8 +347,8 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
 
     Each point reports RMSE over its successful trials, the fraction of
     trials with every source within half a resolution cell (in sin space)
-    of its truth, and the failure count. A point where every trial failed
-    carries NaN statistics and trials_ok = 0.
+    of its truth, and the failure count, also by exception type. A point
+    where every trial failed carries NaN statistics and trials_ok = 0.
     """
     geometry = config.geometry.build()
     if config.sweep_axis == "none":
@@ -378,6 +383,7 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
                 resolve_rate=resolve,
                 trials_ok=len(ok),
                 trials_failed=len(results) - len(ok),
+                failures=Counter(r.error.split(":", 1)[0] for r in results if r.failed),
                 estimates_deg=estimates,
                 elapsed_s=elapsed,
             )

@@ -356,6 +356,7 @@ def levenberg_marquardt(params, residual_jacobian, costs, inside, max_iterations
     iterations = np.zeros(count, dtype=int)
     reasons = ["iteration_cap"] * count
     active = np.ones(count, dtype=bool)
+    identity = np.eye(size)
     for _ in range(int(max_iterations)):
         live = np.flatnonzero(active)
         if live.size == 0:
@@ -373,7 +374,7 @@ def levenberg_marquardt(params, residual_jacobian, costs, inside, max_iterations
                 break
             rows = live[pending]
             system = normal[pending] + damping[rows, None, None] * (
-                scale[pending, :, None] * np.eye(size)
+                scale[pending, :, None] * identity
             )
             try:
                 trial = params[rows] + np.linalg.solve(system, gradient[pending])[..., 0]

@@ -112,7 +112,7 @@ def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:
                     f"duplicate cell (element {m}, subarray {k})", row=row_number
                 )
             seen[m - 1, k - 1] = True
-            data[m - 1, k - 1] = real + 1j * imag
+            data[m - 1, k - 1] = complex(real, imag)
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise SnapshotFormatError(

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from pcdoa import cli
+from pcdoa import cli, harness
 from pcdoa.cli import main
+from pcdoa.errors import RankDeficiencyError
 
 CONFIG = """
 geometry:
@@ -238,6 +239,28 @@ class TestMonteCarlo:
         lines = (tmp_path / "rmse.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("40.0,")
+
+    def test_failures_counted_by_type(self, config_path, tmp_path, monkeypatch):
+        # The second of three trials fails in whitening; the sidecar names
+        # the failure's type and rmse.csv counts the two that succeeded.
+        separate = harness.jade_separate
+        calls = []
+
+        def second_call_fails(data, n_sources):
+            calls.append(n_sources)
+            if len(calls) == 2:
+                raise RankDeficiencyError(2, "forced")
+            return separate(data, n_sources)
+
+        monkeypatch.setattr(harness, "jade_separate", second_call_fails)
+        assert run(
+            "montecarlo", "--config", config_path, "--trials", "3",
+            "--out", str(tmp_path),
+        ) == 0
+        sidecar = json.loads((tmp_path / "rmse.json").read_text())
+        assert sidecar["trials_failed"] == [1]
+        assert sidecar["failures_by_type"] == [{"RankDeficiencyError": 1}]
+        assert (tmp_path / "rmse.csv").read_text().splitlines()[1].endswith(",2")
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import pytest
 from pcdoa.array_model import (
     SourceScenario,
     _offset_matrix,
+    _steering_derivative,
     _steering_matrix,
     build_geometry,
     synthesize,
@@ -11,6 +12,9 @@ from pcdoa.array_model import (
 from pcdoa.errors import DomainError, InvalidParameterError
 from pcdoa.estimators import (
     DoaEstimate,
+    _grid_steering,
+    _residual_jacobian,
+    _source_columns,
     angle_grid,
     bss_mf,
     bss_nls,
@@ -162,6 +166,44 @@ class TestMatchedFilter:
         b = bss_mf(snapshot.data, geometry, rotated, (-30.0, 30.0, 0.25))
         assert np.array_equal(a.directions_deg, b.directions_deg)
         assert np.allclose(a.spectra, b.spectra)
+
+    def test_grid_dictionary_cached_by_value(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        offsets = np.exp(2j * np.pi * rng.random((2, 6)))
+        triple = (-10.0, 10.0, 0.5)
+        cases = [
+            (small_geometry(), triple),
+            (build_geometry("equidistant", 6, 4, 0.7, 30.0, 1.0), triple),
+            (build_geometry("equidistant", 6, 4, 0.5, 30.0, 1.3), triple),
+            (small_geometry(), angle_grid(*triple)),
+        ]
+        columns = _source_columns(x, offsets)
+        for geometry, grid in cases:
+            result = bss_mf(x, geometry, offsets, grid)
+            steering = _steering_matrix(geometry, np.radians(result.grid_deg))
+            assert np.array_equal(result.spectra, np.abs(columns.conj().T @ steering))
+
+        # An equal geometry, or one that differs only in its subarray
+        # offsets, reuses the entry of the first case.
+        for geometry in (
+            small_geometry(),
+            build_geometry("uniform_random", 6, 4, 0.5, 30.0, 1.0, seed=3),
+        ):
+            before = _grid_steering.cache_info()
+            bss_mf(x, geometry, offsets, triple)
+            after = _grid_steering.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+        geometry = small_geometry()
+        cached = _grid_steering(
+            geometry.wavelength,
+            geometry.intra_displacements.tobytes(),
+            angle_grid(*triple).tobytes(),
+        )
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
 
 
 class TestNlsCost:
@@ -372,6 +414,21 @@ class TestEndToEnd:
         order = match_sources(result.directions_deg, truth)
         aligned = result.directions_deg[list(order)]
         assert np.max(np.abs(aligned - truth)) < 0.2
+
+    def test_residual_jacobian_matches_separate_steering_calls(self):
+        # The Jacobian reuses the steering matrix of the residual for the
+        # slopes; the reference builds both from separate calls.
+        snapshot, geometry, offsets, mf = noisy_pair([1.2, 14.2], (0.0, 16.0, 0.01), 3)
+        x, phi = snapshot.data, offsets.offsets
+        theta = np.radians(mf.directions_deg) + np.array([1e-4, -2e-4])
+        s = np.array([0.8 + 0.6j, -1.1 + 2.7j])
+        columns = _steering_matrix(geometry, theta)[:, :, None] * phi
+        slopes = _steering_derivative(geometry, theta)[:, :, None] * (phi * s[:, None])
+        residual = x - np.einsum("mlk,l->mk", columns, s)
+        jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
+        got_residual, got_jac = _residual_jacobian(x, geometry, phi, theta, s)
+        assert np.array_equal(got_residual, residual.reshape(-1))
+        assert np.array_equal(got_jac, np.swapaxes(jac, 1, 2).reshape(residual.size, -1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_pair_noisy_nls_converges(self, seed):

@@ -105,6 +105,18 @@ class TestCsvFormat:
         back = ingest_snapshot_csv(path, geometry())
         assert np.array_equal(back.data, data)
 
+    def test_signed_zeros_written_back_byte_identical(self, tmp_path):
+        # A zero's sign must survive ingest in both parts of a cell.
+        cells = ["-0.0,5e-324", "-1e-300,-0.0", "-0.0,-0.0", "0.0,-0.0"] * 3
+        lines = ["element_index,subarray_index,real,imag"]
+        for index, cell in enumerate(cells):
+            lines.append(f"{index // 4 + 1},{index % 4 + 1},{cell}")
+        source = tmp_path / "in.csv"
+        source.write_text("\n".join(lines) + "\n")
+        back = tmp_path / "out.csv"
+        write_snapshot_csv(back, ingest_snapshot_csv(source, geometry()))
+        assert back.read_bytes() == source.read_bytes()
+
 
 class TestIngestValidation:
     def write(self, tmp_path, text):
