@@ -15,24 +15,13 @@ import numpy as np
 
 from pcdoa import (
     SourceScenario,
-    bss_mf,
-    bss_nls,
-    estimate_phase_offsets,
+    estimate,
     ingest_snapshot_csv,
-    jade_separate,
     load_packaged_config,
     superpose_snapshots,
     synthesize,
     write_snapshot_csv,
 )
-
-
-def estimate(config, geometry, snapshot):
-    separated = jade_separate(snapshot.data, len(config.directions_deg))
-    offsets = estimate_phase_offsets(separated)
-    mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
-    nls = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
-    return np.sort(nls.directions_deg)
 
 
 def main():
@@ -54,7 +43,7 @@ def main():
         print(f"wrote {path} (emitter at {theta:.2f} deg alone)")
 
     combined = superpose_snapshots(paths, geometry)
-    from_files = estimate(config, geometry, combined)
+    from_files = np.sort(estimate(config, geometry, combined)[2].directions_deg)
     print(f"\nestimate from superposed captures: {np.round(from_files, 3)}")
     print(f"truth:                             {sorted(config.directions_deg)}")
 

@@ -10,15 +10,7 @@ magnitude wider) and the refinement has to do the work.
 
 import numpy as np
 
-from pcdoa import (
-    SourceScenario,
-    bss_mf,
-    bss_nls,
-    estimate_phase_offsets,
-    jade_separate,
-    load_packaged_config,
-    synthesize,
-)
+from pcdoa import SourceScenario, estimate, load_packaged_config, synthesize
 
 
 def run(name):
@@ -31,10 +23,7 @@ def run(name):
         seed=7,
     )
     snapshot, _ = synthesize(geometry, scenario)
-    separated = jade_separate(snapshot.data, len(config.directions_deg))
-    offsets = estimate_phase_offsets(separated)
-    mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
-    nls = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
+    _, mf, nls = estimate(config, geometry, snapshot)
     print(f"\n=== {name}: truth {list(config.directions_deg)} deg, SNR {config.snr_db:.0f} dB ===")
     print(f"matched filter peaks: {np.round(np.sort(mf.directions_deg), 3)}")
     print(f"least-squares fit:    {np.round(np.sort(nls.directions_deg), 3)}")

@@ -40,6 +40,7 @@ from .harness import (
     MonteCarloReport,
     TrialConfig,
     derive_seed,
+    estimate,
     monte_carlo,
     orthogonality_experiment,
     rmse_deg,

@@ -22,12 +22,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, harness
 from .config import load_config, load_packaged_config
 from .errors import NUMERICAL_ERRORS, ConfigError, InvalidParameterError, SnapshotFormatError
+# Not called here: bench/pipeline.traced_cli swaps these four names in this module.
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets
-from .harness import TrialConfig, monte_carlo, orthogonality_experiment, trial_snapshot
 from .jade import jade_separate
+from .harness import TrialConfig, monte_carlo, orthogonality_experiment
 from .snapshot_io import superpose_snapshots, write_csv, write_snapshot_csv
 
 
@@ -62,14 +63,10 @@ def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, e
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _synthesize_snapshot(config: TrialConfig, geometry):
-    noise_var = 10.0 ** (-config.snr_db / 10.0)
-    return trial_snapshot(config, geometry, config.directions_deg, noise_var)
-
-
 def _cmd_synth(args) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
-    snapshot = _synthesize_snapshot(config, config.geometry.build())
+    geometry = config.geometry.build()
+    snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
     write_snapshot_csv(os.path.join(args.out, "snapshot.csv"), snapshot)
     _write_sidecar(args.out, "snapshot", "synth", config)
     return 0
@@ -94,17 +91,13 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
-    if config.grid_deg is None:
-        raise ConfigError("estimate needs run.grid in the config")
     geometry = config.geometry.build()
     if args.add:
         snapshot = superpose_snapshots(args.add, geometry)
     else:
-        snapshot = _synthesize_snapshot(config, geometry)
+        snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
+    offsets, mf, result = harness.estimate(config, geometry, snapshot)
     sources = len(config.directions_deg)
-    separated = jade_separate(snapshot.data, sources)
-    offsets = estimate_phase_offsets(separated)
-    mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
     write_csv(
         os.path.join(args.out, "spectra.csv"),
         ["theta_deg", "source_index", "value"],
@@ -114,9 +107,6 @@ def _cmd_estimate(args) -> int:
             mf.spectra.ravel(),
         ],
     )
-    result = mf
-    if config.estimator == "bss_nls":
-        result = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
     estimates = {
         "estimator": config.estimator,
         "directions_deg": [float(v) for v in result.directions_deg],
@@ -165,8 +155,6 @@ def _run_monte_carlo(args, command: str) -> int:
     config = _apply_overrides(_resolve_config(args.config), args)
     if command == "sweep" and config.sweep_axis == "none":
         raise ConfigError("sweep needs a config with run.sweep.axis set")
-    if config.grid_deg is None:
-        raise ConfigError(f"{command} needs run.grid in the config")
     report = monte_carlo(config)
     points = report.points
     rows = np.array([(p.sweep_value, p.rmse_deg, p.resolve_rate) for p in points], dtype=float)

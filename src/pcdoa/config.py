@@ -6,12 +6,13 @@ fully validated at load: this module rejects a document of the wrong
 shape (a block that is not a mapping, an unknown key or layout, a value
 that is not a number), so typos fail loudly instead of silently running
 a different experiment, and `TrialConfig` rejects bad values (estimator,
-sweep axis and values, trial count, one amplitude per direction).
-Overrides go through `TrialConfig.with_overrides`, which validates the
-same way and refuses an `snr_db` override on an SNR sweep. Snapshot
-files (the CLI's `--add`, read by `estimate` and `ingest` only) are not
-part of a config. The packaged `configs/` directory holds one file per
-reproducible figure-style run.
+sweep axis and values, trial count, one amplitude per direction, fewer
+sources than elements per subarray, a finite SNR). Overrides go through
+`TrialConfig.with_overrides`, which validates the same way and refuses an
+`snr_db` override on an SNR sweep. Snapshot files (the CLI's `--add`,
+read by `estimate` and `ingest` only) are not part of a config. The
+packaged `configs/` directory holds one file per reproducible
+figure-style run.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Seeded Monte-Carlo experiment runner.
+"""The estimation pipeline and the seeded Monte-Carlo experiment runner.
 
-Runs repeated synthesize / separate / estimate trials and aggregates them
-into RMSE and resolve-rate curves against SNR or source separation, plus
-the orthogonality-curve experiment comparing the true source cross
-correlation with the one recovered from blind phase estimates.
+`estimate` runs the paper's estimator on one snapshot for `run_trial` and
+the CLI; trials aggregate into RMSE and resolve-rate curves against SNR or
+source separation. The orthogonality-curve experiment compares the true
+source cross correlation with the one recovered from blind phase estimates.
 
 Every trial seed is derived from (base seed, sweep index, trial index)
 with a fixed 64-bit mix, so any single trial can be reproduced in
@@ -133,6 +133,13 @@ class TrialConfig:
                 raise ConfigError("sweep_values must be sorted ascending")
         if len(self.directions_deg) != len(self.amplitudes):
             raise ConfigError("directions_deg and amplitudes must have equal length")
+        if len(self.directions_deg) >= self.geometry.elements:
+            raise ConfigError(
+                f"need fewer sources ({len(self.directions_deg)}) than elements "
+                f"per subarray ({self.geometry.elements})"
+            )
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
 
     def with_overrides(
         self,
@@ -280,6 +287,23 @@ def trial_snapshot(
     return snapshot
 
 
+def estimate(config: TrialConfig, geometry: ArrayGeometry, snapshot: MeasurementMatrix) -> tuple:
+    """Run the paper's estimator on one snapshot: (offsets, matched, result).
+
+    JADE separation, phase offsets, `bss_mf` on `config.grid_deg` and, for
+    the "bss_nls" estimator, `bss_nls` from the matched-filter peaks;
+    `result` is `matched` for "bss_mf". Raises `ConfigError` without a grid.
+    """
+    if config.grid_deg is None:
+        raise ConfigError("estimation needs run.grid in the config")
+    separated = jade_separate(snapshot.data, len(config.directions_deg))
+    offsets = estimate_phase_offsets(separated)
+    matched = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
+    if config.estimator == "bss_mf":
+        return offsets, matched, matched
+    return offsets, matched, bss_nls(snapshot.data, geometry, offsets, matched.directions_deg)
+
+
 def run_trial(
     config: TrialConfig,
     trial_index: int,
@@ -287,12 +311,12 @@ def run_trial(
     sweep_value: Optional[float] = None,
     geometry: Optional[ArrayGeometry] = None,
 ) -> TrialResult:
-    """Run one synthesize / separate / estimate pass and align the result.
+    """Synthesize one trial's snapshot, `estimate` from it and align the result.
 
     Deterministic given (config.base_seed, sweep_index, trial_index); the
     noise seed is `derive_seed` of those three. Numerical failures
     (`errors.NUMERICAL_ERRORS`) are caught and reported as a failed trial;
-    a configuration error raises.
+    a configuration error raises, a missing grid even before synthesis.
     """
     if config.grid_deg is None:
         raise InvalidParameterError("estimation requires a search grid")
@@ -303,14 +327,7 @@ def run_trial(
         snapshot = trial_snapshot(
             config, geometry, directions, noise_var, sweep_index, trial_index
         )
-        separation = jade_separate(snapshot.data, directions.size)
-        offsets = estimate_phase_offsets(separation)
-        mf = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
-        if config.estimator == "bss_nls":
-            refined = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
-            estimates = refined.directions_deg
-        else:
-            estimates = mf.directions_deg
+        estimates = estimate(config, geometry, snapshot)[2].directions_deg
     except NUMERICAL_ERRORS as exc:
         return TrialResult(None, directions, error=f"{type(exc).__name__}: {exc}")
     order = match_sources(estimates, directions)

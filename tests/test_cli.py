@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestEstimate:
     def test_spectra_print_like_per_cell_repr(self, config_path, tmp_path, monkeypatch):
         special = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 5.0, float("nan")]
         written = []
-        library_bss_mf = cli.bss_mf
+        library_bss_mf = harness.bss_mf
 
         def bss_mf(*args):
             result = library_bss_mf(*args)
@@ -90,7 +91,7 @@ class TestEstimate:
             written.append(dataclasses.replace(result, spectra=spectra, grid_deg=grid))
             return written[-1]
 
-        monkeypatch.setattr(cli, "bss_mf", bss_mf)
+        monkeypatch.setattr(harness, "bss_mf", bss_mf)
         assert run("estimate", "--config", config_path, "--out", str(tmp_path)) == 0
         mf = written[0]
         expected = ["theta_deg,source_index,value"]
@@ -342,6 +343,31 @@ class TestErrors:
             run(*argv, "--out", str(tmp_path), "--add", str(tmp_path / "ghost.csv"))
         assert exit_info.value.code == 2
         assert "--add" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", [("--snr-db", "nan"), ("--snr-db=inf",)], ids=["nan", "inf"])
+    def test_non_finite_snr_refused(self, config_path, tmp_path, snr):
+        # A non-finite SNR would reach spectra.json as NaN or Infinity,
+        # which is not JSON.
+        assert run("synth", "--config", config_path, "--out", str(tmp_path)) == 0
+        out = tmp_path / "out"
+        assert run(
+            "estimate", "--config", config_path, "--out", str(out),
+            "--add", str(tmp_path / "snapshot.csv"), *snr,
+        ) == 2
+        assert not (out / "spectra.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,written", [("montecarlo", "rmse.csv"), ("estimate", "spectra.csv")]
+    )
+    def test_sources_not_fewer_than_elements_refused(self, tmp_path, command, written):
+        # Two sources on two elements per subarray are not identifiable: a
+        # config error, not a run of failed trials.
+        text = resources.files("pcdoa").joinpath("configs").joinpath("fig6a.yaml").read_text()
+        path = tmp_path / "fig6a_m2.yaml"
+        path.write_text(text.replace("elements: 10", "elements: 2"))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(path), "--trials", "1", "--out", str(out)) == 2
+        assert not (out / written).exists()
 
     def test_numerical_failure_exit(self, tmp_path):
         path = tmp_path / "bad.yaml"

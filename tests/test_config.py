@@ -125,6 +125,15 @@ class TestParse:
         with pytest.raises(ConfigError, match=needle):
             parse_config(MINIMAL + run_lines)
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_snr_rejected(self, value):
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config(MINIMAL.replace("snr_db: 20.0", f"snr_db: {value}"))
+
+    def test_sources_must_be_fewer_than_elements(self):
+        with pytest.raises(ConfigError, match="fewer sources"):
+            parse_config(MINIMAL.replace("elements: 3", "elements: 2"))
+
 
 class TestOverrides:
     def test_each_field(self):
@@ -150,6 +159,12 @@ class TestOverrides:
         cfg = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="trials"):
             cfg.with_overrides(trials=0)
+
+    def test_non_finite_snr_override(self):
+        cfg = parse_config(MINIMAL)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="snr_db"):
+                cfg.with_overrides(snr_db=value)
 
     def test_snr_override_refused_on_snr_sweep(self):
         cfg = load_packaged_config("fig6a")

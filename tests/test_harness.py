@@ -1,18 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pcdoa.errors import InvalidParameterError
+from pcdoa import harness
+from pcdoa.config import load_packaged_config
+from pcdoa.errors import ConfigError, InvalidParameterError
+from pcdoa.estimators import bss_mf, bss_nls, estimate_phase_offsets
 from pcdoa.harness import (
     GeometrySpec,
     MonteCarloReport,
     TrialConfig,
     TrialResult,
     derive_seed,
+    estimate,
     monte_carlo,
     orthogonality_experiment,
     rmse_deg,
     run_trial,
 )
+from pcdoa.jade import jade_separate
 
 PAPER_GEOMETRY = GeometrySpec("equidistant", 10, 10, 0.5, 450.0, 1.0)
 PAPER_AMPLITUDES = (np.exp(1j * np.pi / 5), 3 * np.exp(1j * 3 * np.pi / 5))
@@ -71,6 +78,48 @@ class TestTrialConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidParameterError):
             close_pair_config(trials=0)
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("estimator", ["bss_mf", "bss_nls"])
+    @pytest.mark.parametrize("name", ["fig5b", "experiment"])
+    def test_matches_hand_written_chain(self, name, estimator):
+        config = load_packaged_config(name).with_overrides(estimator=estimator)
+        geometry = config.geometry.build()
+        snapshot = harness.trial_snapshot(
+            config, geometry, *harness._point_scenario(config, None), trial_index=3
+        )
+        offsets, matched, result = estimate(config, geometry, snapshot)
+
+        separated = jade_separate(snapshot.data, len(config.directions_deg))
+        ref_offsets = estimate_phase_offsets(separated)
+        ref_matched = bss_mf(snapshot.data, geometry, ref_offsets, config.grid_deg)
+        ref_result = ref_matched
+        if estimator == "bss_nls":
+            ref_result = bss_nls(snapshot.data, geometry, ref_offsets, ref_matched.directions_deg)
+
+        np.testing.assert_array_equal(offsets.offsets, ref_offsets.offsets)
+        np.testing.assert_array_equal(offsets.degenerate_flags, ref_offsets.degenerate_flags)
+        np.testing.assert_array_equal(matched.spectra, ref_matched.spectra)
+        np.testing.assert_array_equal(matched.directions_deg, ref_matched.directions_deg)
+        np.testing.assert_array_equal(result.directions_deg, ref_result.directions_deg)
+        if estimator == "bss_mf":
+            assert result is matched
+            assert result.amplitudes is None and result.cost_history is None
+        else:
+            np.testing.assert_array_equal(result.amplitudes, ref_result.amplitudes)
+            assert result.cost_history == ref_result.cost_history
+            assert result.stop_reason == ref_result.stop_reason
+
+    def test_missing_grid_raises_before_any_stage(self, monkeypatch):
+        config = close_pair_config()
+        geometry = config.geometry.build()
+        snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
+        calls = []
+        monkeypatch.setattr(harness, "jade_separate", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="grid"):
+            estimate(dataclasses.replace(config, grid_deg=None), geometry, snapshot)
+        assert calls == []
 
 
 class TestRunTrial:
@@ -177,6 +226,11 @@ class TestMonteCarlo:
     def test_missing_grid_raises_instead_of_failing_trials(self):
         with pytest.raises(InvalidParameterError, match="grid"):
             monte_carlo(close_pair_config(grid_deg=None, trials=2))
+
+    def test_unidentifiable_config_raises_instead_of_failing_trials(self):
+        geometry = dataclasses.replace(PAPER_GEOMETRY, elements=2)
+        with pytest.raises(ConfigError, match="fewer sources"):
+            monte_carlo(close_pair_config(geometry=geometry, trials=2))
 
     def test_order_independent_of_trial_count(self):
         # first trials of a longer run replicate a shorter run exactly
