@@ -20,7 +20,6 @@ from .correlation import (
     coherence,
     cross_covariance,
     expected_correlation,
-    full_array_correlation,
     pair_correlation,
     pair_statistics,
 )

@@ -260,9 +260,7 @@ def steering_vector(geometry, direction_deg):
     Entry m is exp(j * 2 pi / wavelength * eta_m * sin(theta)); the first
     entry is always 1 because eta_1 = 0.
     """
-    theta = _check_direction_deg(direction_deg)
-    wavenumber = 2.0 * np.pi / geometry.wavelength
-    return np.exp(1j * wavenumber * geometry.intra_displacements * np.sin(theta))
+    return _steering_matrix(geometry, _check_direction_deg(direction_deg))[:, 0]
 
 
 def phase_offset(inter_displacement, direction_deg, wavelength):

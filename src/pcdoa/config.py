@@ -7,7 +7,9 @@ shape (a block that is not a mapping, an unknown key or layout, a value
 that is not a number), so typos fail loudly instead of silently running
 a different experiment, and `TrialConfig` rejects bad values (estimator,
 sweep axis and values, trial count, one amplitude per direction, fewer
-sources than elements per subarray, a finite SNR). Overrides go through
+sources than elements per subarray, a finite SNR, finite directions
+strictly inside (-90, 90) degrees, finite amplitudes, a grid that
+`estimators.angle_grid` accepts). Overrides go through
 `TrialConfig.with_overrides`, which validates the same way and refuses an
 `snr_db` override on an SNR sweep. Snapshot files (the CLI's `--add`,
 read by `estimate` and `ingest` only) are not part of a config. The
@@ -120,6 +122,8 @@ def parse_config(text: str) -> TrialConfig:
         _check_keys(entry, _AMPLITUDE_KEYS, where)
         magnitude = _number(entry, "magnitude", where)
         phase = math.radians(_number(entry, "phase_deg", where))
+        if not math.isfinite(phase):  # math.cos raises on an infinite angle
+            raise ConfigError(f"'{where}.phase_deg' must be finite")
         amplitudes.append(magnitude * complex(math.cos(phase), math.sin(phase)))
 
     noise = _require_mapping(document["noise"], "noise")

@@ -29,7 +29,6 @@ __all__ = [
     "coherence",
     "pair_correlation",
     "expected_correlation",
-    "full_array_correlation",
     "pair_statistics",
 ]
 
@@ -165,42 +164,6 @@ def expected_correlation(rho, subarray_count):
     return magnitude, power
 
 
-def full_array_correlation(
-    theta_i_deg,
-    theta_j_deg,
-    element_spacing,
-    aperture,
-    elements_per_subarray,
-    subarray_count,
-    wavelength,
-):
-    """Closed-form statistics of the whole-array correlation coefficient.
-
-    The correlation of the two full-array steering vectors factorizes into
-    a deterministic Dirichlet kernel of the calibrated subarray times the
-    random inter-subarray term, giving
-
-        |E[G]|    = |M| * |sin(rho)/rho|
-        E[|G|^2]  = M^2 * (1/K + (1 - 1/K) * (sin(rho)/rho)^2)
-
-    with M = sin(Mbar * varphi) / (Mbar * sin varphi).
-
-    Returns
-    -------
-    (expected_magnitude, expected_power, dirichlet_factor)
-    """
-    stats = pair_statistics(
-        theta_i_deg,
-        theta_j_deg,
-        element_spacing,
-        aperture,
-        elements_per_subarray,
-        subarray_count,
-        wavelength,
-    )
-    return stats.expected_magnitude, stats.expected_power, stats.dirichlet_factor
-
-
 def pair_statistics(
     theta_i_deg,
     theta_j_deg,
@@ -210,7 +173,9 @@ def pair_statistics(
     subarray_count,
     wavelength,
 ):
-    """Bundle rho, varphi and the closed-form moments for one direction pair."""
+    """Bundle rho, varphi and the closed-form moments for one direction pair:
+    those of `expected_correlation`, scaled by |M| and M^2 for the subarray's
+    Dirichlet factor M = sin(Mbar * varphi) / (Mbar * sin varphi)."""
     if not (wavelength > 0):
         raise InvalidParameterError("wavelength must be positive")
     if not (aperture > 0) or element_spacing < 0:
@@ -223,13 +188,11 @@ def pair_statistics(
     rho = np.pi * aperture * delta_sin / wavelength
     varphi = np.pi * element_spacing * delta_sin / wavelength
     dirichlet = 1.0 if m_count == 1 else float(_dirichlet(varphi, m_count))
-    sinc = float(_sinc_ratio(rho))
-    magnitude = abs(dirichlet) * abs(sinc)
-    power = dirichlet**2 * (1.0 / k_count + (1.0 - 1.0 / k_count) * sinc**2)
+    magnitude, power = expected_correlation(rho, k_count)
     return CorrelationStatistics(
         rho=float(rho),
         varphi=float(varphi),
-        expected_magnitude=magnitude,
-        expected_power=power,
+        expected_magnitude=abs(dirichlet) * magnitude,
+        expected_power=dirichlet**2 * power,
         dirichlet_factor=dirichlet,
     )

@@ -116,24 +116,22 @@ def _offsets_matrix(offsets):
     return np.asarray(getattr(offsets, "offsets", offsets), dtype=complex)
 
 
-def estimate_phase_offsets(separated, magnitude_threshold=None):
+def estimate_phase_offsets(separated):
     """Normalize separated rows to unit modulus, flagging dead entries.
+
+    An entry below 1e-12 times the largest entry magnitude, or exactly
+    zero, is degenerate: it is flagged and its offset set to 1.
 
     Parameters
     ----------
     separated : array_like or SeparationResult
         L x K matrix of separated source rows.
-    magnitude_threshold : float, optional
-        Absolute magnitude below which an entry is considered degenerate.
-        Defaults to 1e-12 times the largest entry magnitude.
     """
     s = np.asarray(getattr(separated, "recovered", separated), dtype=complex)
     if s.ndim != 2 or s.size == 0:
         raise InvalidParameterError("separated rows must form a nonempty 2-D matrix")
     magnitude = np.abs(s)
-    if magnitude_threshold is None:
-        magnitude_threshold = 1e-12 * magnitude.max()
-    flags = (magnitude < magnitude_threshold) | (magnitude == 0.0)
+    flags = (magnitude < 1e-12 * magnitude.max()) | (magnitude == 0.0)
     offsets = np.where(flags, 1.0 + 0.0j, s / np.where(magnitude == 0.0, 1.0, magnitude))
     return PhaseOffsetEstimate(offsets=offsets, degenerate_flags=flags)
 

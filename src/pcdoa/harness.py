@@ -12,8 +12,8 @@ isolation and the aggregate report does not depend on execution order.
 
 from __future__ import annotations
 
+import cmath
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
@@ -29,7 +29,7 @@ from .array_model import (
 )
 from .correlation import cross_covariance, pair_correlation
 from .errors import NUMERICAL_ERRORS, ConfigError, DomainError, InvalidParameterError
-from .estimators import bss_mf, bss_nls, estimate_phase_offsets, match_sources
+from .estimators import angle_grid, bss_mf, bss_nls, estimate_phase_offsets, match_sources
 from .jade import jade_separate
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -140,6 +140,18 @@ class TrialConfig:
             )
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not all(-90.0 < d < 90.0 for d in self.directions_deg):
+            raise ConfigError(
+                f"directions_deg must lie strictly inside (-90, 90) degrees, got "
+                f"{list(self.directions_deg)}"
+            )
+        if not all(cmath.isfinite(a) for a in self.amplitudes):
+            raise ConfigError("amplitudes must be finite")
+        if self.grid_deg is not None:
+            try:
+                angle_grid(*self.grid_deg)
+            except (InvalidParameterError, DomainError) as exc:
+                raise ConfigError(f"run.grid: {exc}") from None
 
     def with_overrides(
         self,
@@ -231,8 +243,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SweepPointReport:
-    """Aggregate of one sweep point; ``failures`` counts the failed
-    trials by exception type name."""
+    """Aggregate of one sweep point, free of wall-clock times; ``failures``
+    counts the failed trials by exception type name."""
 
     sweep_value: float
     rmse_deg: float
@@ -241,7 +253,6 @@ class SweepPointReport:
     trials_failed: int
     failures: Mapping[str, int]
     estimates_deg: np.ndarray
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -316,10 +327,9 @@ def run_trial(
     Deterministic given (config.base_seed, sweep_index, trial_index); the
     noise seed is `derive_seed` of those three. Numerical failures
     (`errors.NUMERICAL_ERRORS`) are caught and reported as a failed trial;
-    a configuration error raises, a missing grid even before synthesis.
+    a configuration error, such as the missing grid that `estimate`
+    refuses, raises.
     """
-    if config.grid_deg is None:
-        raise InvalidParameterError("estimation requires a search grid")
     if geometry is None:
         geometry = config.geometry.build()
     directions, noise_var = _point_scenario(config, sweep_value)
@@ -346,17 +356,13 @@ def rmse_deg(results: Sequence[TrialResult]) -> float:
     return math.sqrt(sum(squares) / len(squares))
 
 
-def _resolve_radius_sin(geometry: ArrayGeometry) -> float:
-    # Half a resolution cell, applied in sin space where the cell is uniform.
-    return geometry.resolution / 2.0
-
-
 def _resolved(result: TrialResult, geometry: ArrayGeometry) -> bool:
     if result.failed:
         return False
     est = np.sin(np.radians(result.directions_deg))
     ref = np.sin(np.radians(result.truth_deg))
-    return bool(np.all(np.abs(est - ref) <= _resolve_radius_sin(geometry)))
+    # Half a resolution cell, applied in sin space where the cell is uniform.
+    return bool(np.all(np.abs(est - ref) <= geometry.resolution / 2.0))
 
 
 def monte_carlo(config: TrialConfig) -> MonteCarloReport:
@@ -374,12 +380,10 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
         sweep = list(enumerate(float(v) for v in config.sweep_values))
     points = []
     for sweep_index, sweep_value in sweep:
-        start = time.perf_counter()
         results = [
             run_trial(config, t, sweep_index, sweep_value, geometry=geometry)
             for t in range(config.trials)
         ]
-        elapsed = time.perf_counter() - start
         ok = [r for r in results if not r.failed]
         resolve = (
             sum(_resolved(r, geometry) for r in ok) / len(ok) if ok else float("nan")
@@ -402,7 +406,6 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
                 trials_failed=len(results) - len(ok),
                 failures=Counter(r.error.split(":", 1)[0] for r in results if r.failed),
                 estimates_deg=estimates,
-                elapsed_s=elapsed,
             )
         )
     return MonteCarloReport(config=config, points=tuple(points))

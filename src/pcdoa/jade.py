@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_ANGLE_THRESHOLD = 1e-8  # joint_diagonalize skips smaller rotations
+
+
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
@@ -235,14 +238,14 @@ def _off_diagonal_energy(stack):
     return energy
 
 
-def joint_diagonalize(matrix_set, max_sweeps=100, angle_threshold=1e-8):
+def joint_diagonalize(matrix_set, max_sweeps=100):
     """Jointly diagonalize a set of matrices by cyclic Givens rotations.
 
     Every (m, n) plane is rotated by the closed-form minimizer of the
     joint off-diagonal energy: the rotation angles come from the dominant
     eigenvector of the real part of O^H O, where row l of O collects the
     (m, n)-plane entries of matrix l.  Sweeps stop when every rotation
-    angle in a sweep falls below ``angle_threshold`` or after
+    angle in a sweep is at most ``_ANGLE_THRESHOLD`` (1e-8) or after
     ``max_sweeps``.
 
     Accepts a CumulantMatrixSet or any sequence of square matrices.
@@ -272,7 +275,7 @@ def joint_diagonalize(matrix_set, max_sweeps=100, angle_threshold=1e-8):
                     direction = -direction
                 alpha = np.sqrt((1.0 + direction[0]) / 2.0)
                 beta = (direction[1] - 1j * direction[2]) / (2.0 * alpha)
-                if abs(beta) <= angle_threshold:
+                if abs(beta) <= _ANGLE_THRESHOLD:
                     continue
                 rotated = True
                 givens = np.eye(size, dtype=complex)
@@ -292,17 +295,15 @@ def joint_diagonalize(matrix_set, max_sweeps=100, angle_threshold=1e-8):
     )
 
 
-def jade_separate(measurements, n_sources, max_sweeps=100, angle_threshold=1e-8):
-    """Run the full separation pipeline and return all intermediates.
+def jade_separate(measurements, n_sources):
+    """Whiten, pack the cumulants and `joint_diagonalize` them; return all intermediates.
 
     The recovered rows are V^H W Y; each row estimates one source row up
     to the usual permutation and per-row unit-modulus phase ambiguity.
     """
     whitening = estimate_whitener(measurements, n_sources)
     cumulants = cumulant_matrix_set(whitening.whitened)
-    diagonalizer = joint_diagonalize(
-        cumulants, max_sweeps=max_sweeps, angle_threshold=angle_threshold
-    )
+    diagonalizer = joint_diagonalize(cumulants)
     recovered = diagonalizer.rotation.conj().T @ whitening.whitened
     return SeparationResult(
         whitener=whitening,

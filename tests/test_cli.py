@@ -32,6 +32,17 @@ run:
 """
 
 
+# Edits of the packaged `experiment` config that give invalid values.
+EXPERIMENT_EDITS = {
+    "nan-direction": ("directions_deg: [0.63, 6.65]", "directions_deg: [.nan, 6.65]"),
+    "direction-95": ("directions_deg: [0.63, 6.65]", "directions_deg: [95.0, 6.65]"),
+    "inf-magnitude": ("magnitude: 1.0", "magnitude: .inf"),
+    "nan-grid-step": ("step_deg: 0.05", "step_deg: .nan"),
+    "inf-grid-stop": ("stop_deg: 20.0", "stop_deg: .inf"),
+    "grid-start-minus-95": ("start_deg: -20.0", "start_deg: -95.0"),
+}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.yaml"
@@ -286,6 +297,24 @@ class TestOrthogonality:
         assert lines[0] == "separation_over_delta,truth,estimate"
         assert len(lines) == 1 + 48
 
+    def test_failed_trial_counted(self, tmp_path, monkeypatch):
+        # The second of three trials fails in whitening; the sidecar counts it.
+        separate = harness.jade_separate
+        calls = []
+
+        def second_call_fails(data, n_sources):
+            calls.append(n_sources)
+            if len(calls) == 2:
+                raise RankDeficiencyError(2, "forced")
+            return separate(data, n_sources)
+
+        monkeypatch.setattr(harness, "jade_separate", second_call_fails)
+        assert run(
+            "orthogonality", "--config", "fig3", "--trials", "3", "--out", str(tmp_path),
+        ) == 0
+        sidecar = json.loads((tmp_path / "orthogonality.json").read_text())
+        assert sidecar["trials_failed_total"] == 1
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
@@ -369,10 +398,33 @@ class TestErrors:
         assert run(command, "--config", str(path), "--trials", "1", "--out", str(out)) == 2
         assert not (out / written).exists()
 
-    def test_numerical_failure_exit(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit", list(EXPERIMENT_EDITS.values()), ids=list(EXPERIMENT_EDITS)
+    )
+    def test_invalid_values_refused_before_writing(self, tmp_path, edit):
+        # Each edit used to load: the commands exited 0, some writing NaN or
+        # Infinity (not JSON) into the sidecar, or exited 3 at the grid.
+        text = resources.files("pcdoa").joinpath("configs").joinpath("experiment.yaml").read_text()
+        assert edit[0] in text
         path = tmp_path / "bad.yaml"
-        path.write_text(CONFIG.replace("start_deg: -5.0", "start_deg: -95.0"))
-        assert run("estimate", "--config", str(path), "--out", str(tmp_path)) == 3
+        path.write_text(text.replace(*edit))
+        assert run("synth", "--config", "experiment", "--out", str(tmp_path)) == 0
+        snapshot = str(tmp_path / "snapshot.csv")
+        for argv in (("synth",), ("ingest", "--add", snapshot), ("estimate", "--add", snapshot)):
+            out = tmp_path / argv[0]
+            assert run(argv[0], "--config", str(path), *argv[1:], "--out", str(out)) == 2
+            assert not list(out.glob("*.json"))
+
+    def test_numerical_failure_exit(self, config_path, tmp_path):
+        # An all-zero snapshot leaves no signal eigenvalue above the noise
+        # estimate, so whitening fails: a numerical failure, not a config error.
+        assert run("synth", "--config", config_path, "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "snapshot.csv").read_text().splitlines()
+        zeros = [lines[0]] + [line.rsplit(",", 2)[0] + ",0.0,0.0" for line in lines[1:]]
+        path = tmp_path / "zeros.csv"
+        path.write_text("\n".join(zeros) + "\n")
+        out = tmp_path / "out"
+        assert run("estimate", "--config", config_path, "--add", str(path), "--out", str(out)) == 3
 
     def test_out_directory_created(self, config_path, tmp_path):
         out = tmp_path / "a" / "b"

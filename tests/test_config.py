@@ -130,6 +130,42 @@ class TestParse:
         with pytest.raises(ConfigError, match="snr_db"):
             parse_config(MINIMAL.replace("snr_db: 20.0", f"snr_db: {value}"))
 
+    @pytest.mark.parametrize(
+        "old,new,needle",
+        [
+            ("directions_deg: [2.0, 9.0]", "directions_deg: [.nan, 9.0]", "directions_deg"),
+            ("directions_deg: [2.0, 9.0]", "directions_deg: [2.0, -.inf]", "directions_deg"),
+            ("directions_deg: [2.0, 9.0]", "directions_deg: [95.0, 9.0]", "directions_deg"),
+            ("directions_deg: [2.0, 9.0]", "directions_deg: [2.0, -90.0]", "directions_deg"),
+            ("magnitude: 3.0", "magnitude: .inf", "amplitudes"),
+            ("magnitude: 3.0", "magnitude: .nan", "amplitudes"),
+            ("phase_deg: 90.0", "phase_deg: .inf", "phase_deg"),
+        ],
+        ids=["nan-direction", "inf-direction", "direction-95", "direction-minus-90",
+             "inf-magnitude", "nan-magnitude", "inf-phase"],
+    )
+    def test_bad_sources_rejected(self, old, new, needle):
+        # Each used to load, then reach the sidecars as NaN or Infinity or
+        # fail only once the run started; an infinite phase crashed the parser.
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "{start_deg: 0.0, stop_deg: 16.0, step_deg: .nan}",
+            "{start_deg: 0.0, stop_deg: .inf, step_deg: 0.1}",
+            "{start_deg: .nan, stop_deg: 16.0, step_deg: 0.1}",
+            "{start_deg: -95.0, stop_deg: 16.0, step_deg: 0.1}",
+            "{start_deg: 16.0, stop_deg: 0.0, step_deg: 0.1}",
+            "{start_deg: 0.0, stop_deg: 16.0, step_deg: 0.0}",
+        ],
+        ids=["nan-step", "inf-stop", "nan-start", "start-minus-95", "reversed", "zero-step"],
+    )
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ConfigError, match="run.grid"):
+            parse_config(MINIMAL + f"  grid: {grid}\n")
+
     def test_sources_must_be_fewer_than_elements(self):
         with pytest.raises(ConfigError, match="fewer sources"):
             parse_config(MINIMAL.replace("elements: 3", "elements: 2"))

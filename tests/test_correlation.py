@@ -11,7 +11,6 @@ from pcdoa.correlation import (
     coherence,
     cross_covariance,
     expected_correlation,
-    full_array_correlation,
     pair_correlation,
     pair_statistics,
 )
@@ -151,7 +150,8 @@ def test_expected_correlation_matches_uniform_draw_moments():
 
 
 def test_full_array_correlation_zero_separation():
-    assert full_array_correlation(5.0, 5.0, 0.5, 450.0, 10, 10, 1.0) == (1.0, 1.0, 1.0)
+    stats = pair_statistics(5.0, 5.0, 0.5, 450.0, 10, 10, 1.0)
+    assert stats.expected_magnitude == stats.expected_power == stats.dirichlet_factor == 1.0
 
 
 def test_full_array_dirichlet_null():
@@ -162,27 +162,26 @@ def test_full_array_dirichlet_null():
     s2 = 1.0 / (m_count * d)
     t1 = math.degrees(math.asin(s1))
     t2 = math.degrees(math.asin(s2))
-    mag, _, dirichlet = full_array_correlation(t2, t1, d, 450.0, m_count, 10, 1.0)
-    assert dirichlet == pytest.approx(0.0, abs=1e-12)
-    assert mag == pytest.approx(0.0, abs=1e-12)
+    stats = pair_statistics(t2, t1, d, 450.0, m_count, 10, 1.0)
+    assert stats.dirichlet_factor == pytest.approx(0.0, abs=1e-12)
+    assert stats.expected_magnitude == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_array_single_element_degenerates():
     t1, t2 = 1.2, 3.7
-    mag, power, dirichlet = full_array_correlation(t1, t2, 0.5, 450.0, 1, 10, 1.0)
     stats = pair_statistics(t1, t2, 0.5, 450.0, 1, 10, 1.0)
     want_mag, want_power = expected_correlation(stats.rho, 10)
-    assert dirichlet == 1.0
-    assert mag == pytest.approx(want_mag, abs=1e-12)
-    assert power == pytest.approx(want_power, abs=1e-12)
+    assert stats.dirichlet_factor == 1.0
+    assert stats.expected_magnitude == pytest.approx(want_mag, abs=1e-12)
+    assert stats.expected_power == pytest.approx(want_power, abs=1e-12)
 
 
 def test_full_array_jensen_direction():
     rng = np.random.default_rng(7)
     for _ in range(50):
         t1, t2 = np.sort(rng.uniform(-60.0, 60.0, 2))
-        mag, power, _ = full_array_correlation(t1, t2, 0.5, 200.0, 8, 6, 1.0)
-        assert power >= mag**2 - 1e-12
+        stats = pair_statistics(t1, t2, 0.5, 200.0, 8, 6, 1.0)
+        assert stats.expected_power >= stats.expected_magnitude**2 - 1e-12
 
 
 def test_equidistant_grating_lobe_returns_at_k_minus_one():

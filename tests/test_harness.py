@@ -5,7 +5,8 @@ import pytest
 
 from pcdoa import harness
 from pcdoa.config import load_packaged_config
-from pcdoa.errors import ConfigError, InvalidParameterError
+from pcdoa.correlation import cross_covariance
+from pcdoa.errors import ConfigError, InvalidParameterError, RankDeficiencyError
 from pcdoa.estimators import bss_mf, bss_nls, estimate_phase_offsets
 from pcdoa.harness import (
     GeometrySpec,
@@ -297,6 +298,39 @@ class TestOrthogonalityExperiment:
             assert 0.0 <= point.estimate <= 1.0 + 1e-12
         else:
             assert np.isnan(point.estimate)
+
+    def test_failed_trial_left_out_of_the_mean(self, monkeypatch):
+        # The second of three trials fails in whitening: the point counts
+        # two trials and averages exactly those two.
+        cfg = close_pair_config(
+            sweep_axis="separation",
+            sweep_values=(2.5,),
+            amplitudes=(1.0 + 0j, 1.0 + 0j),
+            grid_deg=None,
+            trials=3,
+        )
+        geometry = cfg.geometry.build()
+        directions, noise_var = harness._point_scenario(cfg, 2.5)
+
+        def trial_statistic(trial):
+            snapshot = harness.trial_snapshot(cfg, geometry, directions, noise_var, 0, trial)
+            offsets = estimate_phase_offsets(jade_separate(snapshot.data, 2)).offsets
+            return abs(cross_covariance(offsets).matrix[1, 0])
+
+        want = float(np.mean([trial_statistic(0), trial_statistic(2)]))
+        calls = []
+
+        def second_call_fails(data, n_sources):
+            calls.append(n_sources)
+            if len(calls) == 2:
+                raise RankDeficiencyError(2, "forced")
+            return jade_separate(data, n_sources)
+
+        monkeypatch.setattr(harness, "jade_separate", second_call_fails)
+        (point,) = orthogonality_experiment(cfg)
+        assert len(calls) == 3
+        assert point.trials_ok == 2
+        assert point.estimate == want
 
     def test_requires_two_sources(self):
         cfg = close_pair_config(
