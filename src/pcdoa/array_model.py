@@ -218,7 +218,8 @@ def build_geometry(
     wavelength : float
         Carrier wavelength.
     seed : int, optional
-        Seed for the random layout; ignored for the equidistant one.
+        Non-negative seed for the random layout; ignored for the
+        equidistant one.
 
     Returns
     -------
@@ -238,6 +239,8 @@ def build_geometry(
         )
     if not (wavelength > 0):
         raise InvalidParameterError("wavelength must be positive")
+    if layout == "uniform_random" and seed is not None and seed < 0:
+        raise InvalidParameterError(f"uniform_random seed must be non-negative, got {seed}")
     eta = np.arange(m_count) * float(element_spacing)
     if layout == "equidistant":
         xi = np.arange(k_count) * (float(aperture) / (k_count - 1))

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Each subcommand reads one config (a path, or the bare name of a packaged
-config such as `fig6b`), applies flag overrides, runs the experiment and
+`main` reads one config (a path, or the bare name of a packaged config
+such as `fig6b`) and applies flag overrides; each subcommand runs on it and
 writes plot-ready CSV files plus a JSON sidecar holding the resolved
 config and library version. Outputs are deterministic for a given config
 and seed: re-running a command overwrites byte-identical files. Floats
@@ -41,15 +41,6 @@ def _resolve_config(ref: str) -> TrialConfig:
     raise ConfigError(f"config file not found: {ref}")
 
 
-def _apply_overrides(config: TrialConfig, args) -> TrialConfig:
-    return config.with_overrides(
-        seed=args.seed,
-        trials=args.trials,
-        snr_db=args.snr_db,
-        estimator=args.estimator,
-    )
-
-
 def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, extra=None):
     payload = {
         "command": command,
@@ -63,17 +54,15 @@ def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, e
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_synth(args) -> int:
-    config = _apply_overrides(_resolve_config(args.config), args)
+def _cmd_synth(config: TrialConfig, args) -> int:
     geometry = config.geometry.build()
-    snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
+    snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
     write_snapshot_csv(os.path.join(args.out, "snapshot.csv"), snapshot)
     _write_sidecar(args.out, "snapshot", "synth", config)
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    config = _apply_overrides(_resolve_config(args.config), args)
+def _cmd_ingest(config: TrialConfig, args) -> int:
     if not args.add:
         raise ConfigError("ingest needs at least one --add snapshot file")
     geometry = config.geometry.build()
@@ -89,13 +78,12 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    config = _apply_overrides(_resolve_config(args.config), args)
+def _cmd_estimate(config: TrialConfig, args) -> int:
     geometry = config.geometry.build()
     if args.add:
         snapshot = superpose_snapshots(args.add, geometry)
     else:
-        snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
+        snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
     offsets, mf, result = harness.estimate(config, geometry, snapshot)
     sources = len(config.directions_deg)
     write_csv(
@@ -131,8 +119,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_orthogonality(args) -> int:
-    config = _apply_overrides(_resolve_config(args.config), args)
+def _cmd_orthogonality(config: TrialConfig, args) -> int:
     points = orthogonality_experiment(config)
     rows = np.array([(p.separation_over_delta, p.truth, p.estimate) for p in points], dtype=float)
     write_csv(
@@ -146,13 +133,15 @@ def _cmd_orthogonality(args) -> int:
         "orthogonality",
         "orthogonality",
         config,
-        extra={"trials_failed_total": int(failed)},
+        extra={
+            "trials_failed_total": int(failed),
+            "failures_by_type": [p.failures for p in points],
+        },
     )
     return 0
 
 
-def _run_monte_carlo(args, command: str) -> int:
-    config = _apply_overrides(_resolve_config(args.config), args)
+def _run_monte_carlo(config: TrialConfig, args, command: str) -> int:
     if command == "sweep" and config.sweep_axis == "none":
         raise ConfigError("sweep needs a config with run.sweep.axis set")
     report = monte_carlo(config)
@@ -230,8 +219,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        config = _resolve_config(args.config).with_overrides(
+            seed=args.seed, trials=args.trials, snr_db=args.snr_db, estimator=args.estimator
+        )
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](config, args)
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,11 +5,13 @@ A config is one YAML document with four blocks: `geometry`, `sources`,
 fully validated at load: this module rejects a document of the wrong
 shape (a block that is not a mapping, an unknown key or layout, a value
 that is not a number), so typos fail loudly instead of silently running
-a different experiment, and `TrialConfig` rejects bad values (estimator,
-sweep axis and values, trial count, one amplitude per direction, fewer
-sources than elements per subarray, a finite SNR, finite directions
-strictly inside (-90, 90) degrees, finite amplitudes, a grid that
-`estimators.angle_grid` accepts). Overrides go through
+a different experiment, and `TrialConfig` rejects bad values (a geometry
+that `build_geometry` refuses, estimator, sweep axis and values, trial
+count, one amplitude per direction, fewer sources than elements per
+subarray, a finite SNR, finite directions strictly inside (-90, 90)
+degrees, finite amplitudes, a grid that `estimators.angle_grid` accepts,
+a separation sweep of exactly two sources that keeps sin(theta_2)
+strictly inside (-1, 1)). Overrides go through
 `TrialConfig.with_overrides`, which validates the same way and refuses an
 `snr_db` override on an SNR sweep. Snapshot files (the CLI's `--add`,
 read by `estimate` and `ingest` only) are not part of a config. The
@@ -19,6 +21,7 @@ figure-style run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 from typing import Tuple
@@ -28,7 +31,7 @@ import yaml
 from .errors import ConfigError
 from .harness import GeometrySpec, TrialConfig
 
-_GEOMETRY_KEYS = {"layout", "subarrays", "elements", "spacing", "aperture", "wavelength", "seed"}
+_GEOMETRY_KEYS = {f.name for f in dataclasses.fields(GeometrySpec)}
 _SOURCES_KEYS = {"directions_deg", "amplitudes"}
 _AMPLITUDE_KEYS = {"magnitude", "phase_deg"}
 _NOISE_KEYS = {"snr_db"}

@@ -148,17 +148,6 @@ def angle_grid(start_deg, stop_deg, step_deg):
     return start_deg + step_deg * np.arange(count)
 
 
-def _resolve_grid(grid):
-    if isinstance(grid, tuple) and len(grid) == 3:
-        return angle_grid(*grid)
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError("grid must be a nonempty 1-D angle sequence")
-    if not np.all(np.abs(arr) < 90.0):
-        raise InvalidParameterError("grid must lie strictly inside (-90, 90) degrees")
-    return arr
-
-
 def bss_mf(measurements, geometry, offsets, grid):
     """Per-source matched-filter direction search over a degree grid.
 
@@ -171,25 +160,26 @@ def bss_mf(measurements, geometry, offsets, grid):
     would let a strong source leak into a weak source's spectrum and pull
     its peak.
 
-    ``grid`` is either a (start, stop, step) triple in degrees or an
-    explicit 1-D array of angles.  The grid's steering dictionary depends
-    only on the wavelength, the element displacements inside a subarray
-    and the grid, so it is computed once per (wavelength, element
-    displacements, grid) and reused, read-only, by later calls.
+    ``grid`` is a (start, stop, step) triple in degrees for
+    :func:`angle_grid`; other than three values raise
+    ``InvalidParameterError``.  The grid and its steering dictionary
+    depend only on the wavelength, the element displacements inside a
+    subarray and the triple, so they are computed once per such key and
+    reused, read-only, by later calls.
     """
     x = _as_matrix(measurements)
     phi = _offsets_matrix(offsets)
-    grid_deg = _resolve_grid(grid)
+    triple = np.asarray(grid, dtype=float)
+    if triple.shape != (3,):
+        raise InvalidParameterError("grid must be a (start, stop, step) triple in degrees")
+    grid_deg, steering = _grid_steering(
+        float(geometry.wavelength), geometry.intra_displacements.tobytes(), *triple.tolist()
+    )
     if x.shape != (geometry.elements_per_subarray, geometry.subarray_count):
         raise InvalidParameterError("measurement shape does not match the geometry")
     if phi.shape[1] != geometry.subarray_count:
         raise InvalidParameterError("offsets must have one column per subarray")
     columns = _source_columns(x, phi)
-    steering = _grid_steering(
-        float(geometry.wavelength),
-        geometry.intra_displacements.tobytes(),
-        np.asarray(grid_deg, dtype=float).tobytes(),
-    )
     spectra = np.abs(columns.conj().T @ steering)
     peak_index = np.argmax(spectra, axis=1)
     peaks = spectra[np.arange(spectra.shape[0]), peak_index]
@@ -204,13 +194,14 @@ def bss_mf(measurements, geometry, offsets, grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_steering(wavelength, displacements, grid_deg):
-    """Read-only steering matrix of a degree grid, keyed by value: the
-    wavelength and the float64 bytes of the element displacements and of
-    the grid.  The subarray offsets do not enter it, so a one-subarray
-    geometry with the same elements builds it."""
+def _grid_steering(wavelength, displacements, start_deg, stop_deg, step_deg):
+    """Read-only degree grid of a (start, stop, step) triple and its
+    steering matrix, keyed by value: the wavelength, the float64 bytes of
+    the element displacements and the triple.  The subarray offsets do not
+    enter it, so a one-subarray geometry with the same elements builds it."""
+    grid_deg = _frozen(angle_grid(start_deg, stop_deg, step_deg))
     geometry = ArrayGeometry(wavelength, np.frombuffer(displacements), np.zeros(1))
-    return _frozen(_steering_matrix(geometry, np.radians(np.frombuffer(grid_deg))))
+    return grid_deg, _frozen(_steering_matrix(geometry, np.radians(grid_deg)))
 
 
 def _source_columns(x, phi):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,13 +89,15 @@ class TrialConfig:
     """Full description of one Monte-Carlo experiment.
 
     `sweep_axis` selects what `sweep_values` mean: "snr" values are SNR in
-    dB, "separation" values place the second source at
+    dB, "separation" values place the second of exactly two sources at
     sin(theta_2) = sin(theta_1) + value * (wavelength / aperture), and
-    "none" runs a single point at the configured scenario.
+    "none" runs a single point at the configured scenario. `scenario`
+    resolves one point into its directions and noise variance.
 
     Every instance is validated on construction, whether it comes from a
     config file, from `with_overrides` or from `dataclasses.replace`; a
-    bad value raises `ConfigError`.
+    bad value, including a geometry that does not build or a swept point
+    that `scenario` refuses, raises `ConfigError`.
     """
 
     geometry: GeometrySpec
@@ -120,6 +122,11 @@ class TrialConfig:
             )
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        try:
+            self.geometry.build()
+        except InvalidParameterError as exc:
+            raise ConfigError(f"geometry: {exc}") from None
+        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
         values = np.asarray(self.sweep_values, dtype=float)
         if self.sweep_axis == "none":
             if values.size:
@@ -152,6 +159,29 @@ class TrialConfig:
                 angle_grid(*self.grid_deg)
             except (InvalidParameterError, DomainError) as exc:
                 raise ConfigError(f"run.grid: {exc}") from None
+        for value in self.sweep_values:
+            self.scenario(value)
+
+    def scenario(self, sweep_value: Optional[float] = None) -> Tuple[np.ndarray, float]:
+        """(directions in degrees, noise variance) of one sweep point.
+
+        `None` gives the configured scenario. Raises `ConfigError` for a
+        separation that needs other than two sources or that pushes
+        sin(theta_2) outside (-1, 1).
+        """
+        directions = np.array(self.directions_deg, dtype=float)
+        snr_db = self.snr_db
+        if sweep_value is not None and self.sweep_axis == "snr":
+            snr_db = float(sweep_value)
+        elif sweep_value is not None and self.sweep_axis == "separation":
+            if directions.size != 2:
+                raise ConfigError(f"separation sweep needs two sources, got {directions.size}")
+            delta_sin = self.geometry.wavelength / self.geometry.aperture
+            target = math.sin(math.radians(directions[0])) + float(sweep_value) * delta_sin
+            if not -1.0 < target < 1.0:
+                raise ConfigError(f"separation {sweep_value} puts sin(theta_2) at {target}")
+            directions[1] = math.degrees(math.asin(target))
+        return directions, 10.0 ** (-snr_db / 10.0)
 
     def with_overrides(
         self,
@@ -187,15 +217,7 @@ class TrialConfig:
     def as_dict(self) -> dict:
         """Resolved config as plain data for the provenance sidecar."""
         return {
-            "geometry": {
-                "layout": self.geometry.layout,
-                "subarrays": self.geometry.subarrays,
-                "elements": self.geometry.elements,
-                "spacing": self.geometry.spacing,
-                "aperture": self.geometry.aperture,
-                "wavelength": self.geometry.wavelength,
-                "seed": self.geometry.seed,
-            },
+            "geometry": asdict(self.geometry),
             "sources": {
                 "directions_deg": list(self.directions_deg),
                 "amplitudes": [
@@ -261,24 +283,6 @@ class MonteCarloReport:
     points: Tuple[SweepPointReport, ...] = field(default_factory=tuple)
 
 
-def _point_scenario(config: TrialConfig, sweep_value: Optional[float]) -> Tuple[np.ndarray, float]:
-    """Resolve (directions, noise variance) for one sweep point."""
-    directions = np.asarray(config.directions_deg, dtype=float)
-    snr_db = config.snr_db
-    if config.sweep_axis == "snr" and sweep_value is not None:
-        snr_db = float(sweep_value)
-    elif config.sweep_axis == "separation" and sweep_value is not None:
-        if directions.size != 2:
-            raise InvalidParameterError("separation sweep needs exactly two sources")
-        delta_sin = config.geometry.wavelength / config.geometry.aperture
-        target = math.sin(math.radians(directions[0])) + float(sweep_value) * delta_sin
-        if not -1.0 < target < 1.0:
-            raise DomainError(f"swept separation pushes sin(theta) to {target}")
-        directions = directions.copy()
-        directions[1] = math.degrees(math.asin(target))
-    return directions, 10.0 ** (-snr_db / 10.0)
-
-
 def trial_snapshot(
     config: TrialConfig,
     geometry: ArrayGeometry,
@@ -332,7 +336,7 @@ def run_trial(
     """
     if geometry is None:
         geometry = config.geometry.build()
-    directions, noise_var = _point_scenario(config, sweep_value)
+    directions, noise_var = config.scenario(sweep_value)
     try:
         snapshot = trial_snapshot(
             config, geometry, directions, noise_var, sweep_index, trial_index
@@ -374,12 +378,9 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
     where every trial failed carries NaN statistics and trials_ok = 0.
     """
     geometry = config.geometry.build()
-    if config.sweep_axis == "none":
-        sweep = [(0, None)]
-    else:
-        sweep = list(enumerate(float(v) for v in config.sweep_values))
     points = []
-    for sweep_index, sweep_value in sweep:
+    # Unswept, the one point is reported at the SNR, which `scenario` ignores.
+    for sweep_index, sweep_value in enumerate(config.sweep_values or (config.snr_db,)):
         results = [
             run_trial(config, t, sweep_index, sweep_value, geometry=geometry)
             for t in range(config.trials)
@@ -393,13 +394,9 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
             if ok
             else np.empty((0, len(config.directions_deg)))
         )
-        if sweep_value is None:
-            reported_value = config.snr_db
-        else:
-            reported_value = sweep_value
         points.append(
             SweepPointReport(
-                sweep_value=reported_value,
+                sweep_value=sweep_value,
                 rmse_deg=rmse_deg(results),
                 resolve_rate=resolve,
                 trials_ok=len(ok),
@@ -413,10 +410,14 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
 
 @dataclass(frozen=True)
 class OrthogonalityPoint:
+    """One separation point; ``failures`` counts the failed trials by
+    exception type name."""
+
     separation_over_delta: float
     truth: float
     estimate: float
     trials_ok: int
+    failures: Mapping[str, int]
 
 
 def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, ...]:
@@ -425,16 +426,15 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
     For each swept separation, the truth is |(1/K) sum_k phi_2k conj(phi_1k)|
     from the realized geometry, and the estimate is the matching statistic
     computed from the phase estimates of a separated noisy snapshot,
-    averaged over the configured trials. Needs exactly two sources.
+    averaged over the trials that did not fail numerically. Needs a
+    separation sweep, which `TrialConfig` holds to exactly two sources.
     """
-    if len(config.directions_deg) != 2:
-        raise InvalidParameterError("orthogonality experiment needs exactly two sources")
     if config.sweep_axis != "separation":
         raise InvalidParameterError("orthogonality experiment sweeps separation")
     geometry = config.geometry.build()
     points = []
-    for sweep_index, value in enumerate(float(v) for v in config.sweep_values):
-        directions, noise_var = _point_scenario(config, value)
+    for sweep_index, value in enumerate(config.sweep_values):
+        directions, noise_var = config.scenario(value)
         truth = abs(
             pair_correlation(
                 geometry.inter_displacements,
@@ -444,6 +444,7 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
             )
         )
         estimates = []
+        failures = Counter()
         for trial in range(config.trials):
             try:
                 snapshot = trial_snapshot(
@@ -451,7 +452,8 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
                 )
                 separated = jade_separate(snapshot.data, 2)
                 offsets = estimate_phase_offsets(separated)
-            except NUMERICAL_ERRORS:
+            except NUMERICAL_ERRORS as exc:
+                failures[type(exc).__name__] += 1
                 continue
             # |R_{2,1}| is permutation-proof: swapping the two recovered
             # rows only conjugates the off-diagonal entry.
@@ -463,6 +465,7 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
                 truth=float(truth),
                 estimate=float(np.mean(estimates)) if estimates else float("nan"),
                 trials_ok=len(estimates),
+                failures=failures,
             )
         )
     return tuple(points)

@@ -60,6 +60,8 @@ def test_build_geometry_validation():
     with pytest.raises(InvalidParameterError):
         # aperture must exceed the subarray length
         build_geometry("equidistant", 4, 4, 0.5, 1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        build_geometry("uniform_random", 4, 4, 0.5, 100.0, 1.0, seed=-1)
 
 
 def test_geometry_requires_zero_references():

@@ -314,6 +314,10 @@ class TestOrthogonality:
         ) == 0
         sidecar = json.loads((tmp_path / "orthogonality.json").read_text())
         assert sidecar["trials_failed_total"] == 1
+        failures = sidecar["failures_by_type"]
+        assert len(failures) == 48
+        assert failures[0] == {"RankDeficiencyError": 1}
+        assert all(point == {} for point in failures[1:])
 
 
 class TestErrors:
@@ -414,6 +418,32 @@ class TestErrors:
             out = tmp_path / argv[0]
             assert run(argv[0], "--config", str(path), *argv[1:], "--out", str(out)) == 2
             assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        "command,written", [("orthogonality", "orthogonality.csv"), ("sweep", "rmse.csv")]
+    )
+    def test_out_of_range_separation_refused_before_any_trial(
+        self, tmp_path, monkeypatch, command, written
+    ):
+        # A swept separation that pushes sin(theta_2) past 1 used to run
+        # the earlier points and then exit 3.
+        text = resources.files("pcdoa").joinpath("configs").joinpath("fig3.yaml").read_text()
+        path = tmp_path / "fig3_far.yaml"
+        path.write_text(text.replace("11.75, 12.0]", "11.75, 12.0, 1000000.0]"))
+        calls = []
+        monkeypatch.setattr(harness, "trial_snapshot", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(path), "--trials", "1", "--out", str(out)) == 2
+        assert calls == []
+        assert not (out / written).exists()
+
+    def test_negative_random_layout_seed_refused(self, tmp_path):
+        # numpy refuses a negative seed; it used to escape as a traceback (exit 1).
+        path = tmp_path / "random.yaml"
+        path.write_text(CONFIG.replace("layout: equidistant", "layout: uniform_random\n  seed: -1"))
+        out = tmp_path / "out"
+        assert run("estimate", "--config", str(path), "--out", str(out)) == 2
+        assert not (out / "spectra.csv").exists()
 
     def test_numerical_failure_exit(self, config_path, tmp_path):
         # An all-zero snapshot leaves no signal eigenvalue above the noise

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import pytest
 
@@ -27,6 +28,35 @@ noise:
 run:
   estimator: bss_mf
 """
+
+
+ONE_SOURCE = """
+  directions_deg: [2.0]
+  amplitudes:
+    - {magnitude: 1.0, phase_deg: 0.0}
+"""
+
+THREE_SOURCES = """
+  directions_deg: [2.0, 9.0, 20.0]
+  amplitudes:
+    - {magnitude: 1.0, phase_deg: 0.0}
+    - {magnitude: 3.0, phase_deg: 90.0}
+    - {magnitude: 2.0, phase_deg: 45.0}
+"""
+
+
+def packaged_text(name):
+    return resources.files("pcdoa").joinpath("configs").joinpath(f"{name}.yaml").read_text()
+
+
+def with_sources(text, block):
+    """MINIMAL with its sources block replaced and four elements per subarray."""
+    head, rest = text.split("sources:", 1)
+    tail = rest[rest.index("noise:"):]
+    return (head + "sources:" + block + tail).replace("elements: 3", "elements: 4")
+
+
+SEPARATION_SWEEP = "  sweep: {axis: separation, values: [0.5, 1.0]}\n"
 
 
 class TestParse:
@@ -165,6 +195,38 @@ class TestParse:
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ConfigError, match="run.grid"):
             parse_config(MINIMAL + f"  grid: {grid}\n")
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            (
+                packaged_text("fig3").replace("11.75, 12.0]", "11.75, 12.0, 1000000.0]"),
+                r"sin\(theta_2\)",
+            ),
+            (with_sources(MINIMAL, ONE_SOURCE) + SEPARATION_SWEEP, "two sources, got"),
+            (with_sources(MINIMAL, THREE_SOURCES) + SEPARATION_SWEEP, "two sources, got"),
+        ],
+        ids=["sin-outside-unit", "one-source", "three-sources"],
+    )
+    def test_bad_separation_sweep_rejected_at_load(self, text, needle):
+        # Each used to load and run its earlier points; a swept sin(theta_2)
+        # outside (-1, 1) then stopped the run as a numerical failure.
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("layout: equidistant", "layout: uniform_random\n  seed: -1"),
+            ("aperture: 12.0", "aperture: 0.0"),
+        ],
+        ids=["negative-random-seed", "zero-aperture"],
+    )
+    def test_geometry_that_does_not_build_rejected_at_load(self, old, new):
+        # Each used to load and fail only when a command built the geometry;
+        # the separation rule would divide by the zero aperture.
+        with pytest.raises(ConfigError, match="geometry"):
+            parse_config(MINIMAL.replace(old, new) + SEPARATION_SWEEP)
 
     def test_sources_must_be_fewer_than_elements(self):
         with pytest.raises(ConfigError, match="fewer sources"):

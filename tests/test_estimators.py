@@ -176,7 +176,6 @@ class TestMatchedFilter:
             (small_geometry(), triple),
             (build_geometry("equidistant", 6, 4, 0.7, 30.0, 1.0), triple),
             (build_geometry("equidistant", 6, 4, 0.5, 30.0, 1.3), triple),
-            (small_geometry(), angle_grid(*triple)),
         ]
         columns = _source_columns(x, offsets)
         for geometry, grid in cases:
@@ -196,14 +195,40 @@ class TestMatchedFilter:
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
         geometry = small_geometry()
-        cached = _grid_steering(
-            geometry.wavelength,
-            geometry.intra_displacements.tobytes(),
-            angle_grid(*triple).tobytes(),
+        grid, cached = _grid_steering(
+            geometry.wavelength, geometry.intra_displacements.tobytes(), *triple
         )
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
+        assert np.array_equal(grid, angle_grid(*triple))
+        for array in (grid, cached):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_grid_list_reads_as_a_triple(self):
+        # A list of three values is a (start, stop, step) triple, never a
+        # grid of three angles.
+        rng = np.random.default_rng(9)
+        geometry = paper_geometry()
+        x = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        offsets = np.exp(2j * np.pi * rng.random((2, 10)))
+        listed = bss_mf(x, geometry, offsets, [0.0, 16.0, 0.5])
+        tupled = bss_mf(x, geometry, offsets, (0.0, 16.0, 0.5))
+        assert listed.grid_deg.size == 33
+        assert np.array_equal(listed.grid_deg, tupled.grid_deg)
+        assert np.array_equal(listed.spectra, tupled.spectra)
+        assert np.array_equal(listed.directions_deg, tupled.directions_deg)
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 4.0, 5), (0.0, 16.0), ((0.0, 16.0, 0.5),)],
+        ids=["five-angles", "pair", "nested"],
+    )
+    def test_grid_other_than_a_triple_refused(self, grid):
+        rng = np.random.default_rng(9)
+        geometry = small_geometry()
+        x = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        offsets = np.exp(2j * np.pi * rng.random((2, 6)))
+        with pytest.raises(InvalidParameterError, match="triple"):
+            bss_mf(x, geometry, offsets, grid)
 
 
 class TestNlsCost:

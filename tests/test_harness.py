@@ -87,9 +87,7 @@ class TestEstimate:
     def test_matches_hand_written_chain(self, name, estimator):
         config = load_packaged_config(name).with_overrides(estimator=estimator)
         geometry = config.geometry.build()
-        snapshot = harness.trial_snapshot(
-            config, geometry, *harness._point_scenario(config, None), trial_index=3
-        )
+        snapshot = harness.trial_snapshot(config, geometry, *config.scenario(), trial_index=3)
         offsets, matched, result = estimate(config, geometry, snapshot)
 
         separated = jade_separate(snapshot.data, len(config.directions_deg))
@@ -115,7 +113,7 @@ class TestEstimate:
     def test_missing_grid_raises_before_any_stage(self, monkeypatch):
         config = close_pair_config()
         geometry = config.geometry.build()
-        snapshot = harness.trial_snapshot(config, geometry, *harness._point_scenario(config, None))
+        snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
         calls = []
         monkeypatch.setattr(harness, "jade_separate", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match="grid"):
@@ -310,7 +308,7 @@ class TestOrthogonalityExperiment:
             trials=3,
         )
         geometry = cfg.geometry.build()
-        directions, noise_var = harness._point_scenario(cfg, 2.5)
+        directions, noise_var = cfg.scenario(2.5)
 
         def trial_statistic(trial):
             snapshot = harness.trial_snapshot(cfg, geometry, directions, noise_var, 0, trial)
