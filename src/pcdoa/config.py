@@ -8,14 +8,14 @@ that is not a number), so typos fail loudly instead of silently running
 a different experiment, and `TrialConfig` rejects bad values (a geometry
 that `build_geometry` refuses, estimator, sweep axis and values, trial
 count, one amplitude per direction, fewer sources than elements per
-subarray, a finite SNR, finite directions strictly inside (-90, 90)
-degrees, finite amplitudes, a grid that `estimators.angle_grid` accepts,
-a separation sweep of exactly two sources that keeps sin(theta_2)
-strictly inside (-1, 1)). Overrides go through
-`TrialConfig.with_overrides`, which validates the same way and refuses an
-`snr_db` override on an SNR sweep. Snapshot files (the CLI's `--add`,
-read by `estimate` and `ingest` only) are not part of a config. The
-packaged `configs/` directory holds one file per reproducible
+subarray, a finite SNR whose noise variance does not overflow, finite
+directions strictly inside (-90, 90) degrees, finite amplitudes, a grid
+that `estimators.angle_grid` accepts, a separation sweep of exactly
+two sources that keeps sin(theta_2) strictly inside (-1, 1)). Overrides
+go through `TrialConfig.with_overrides`, which validates the same way and
+refuses an `snr_db` override on an SNR sweep. Snapshot files (the CLI's
+`--add`, read by `estimate` and `ingest` only) are not part of a config.
+The packaged `configs/` directory holds one file per reproducible
 figure-style run.
 """
 

@@ -5,8 +5,8 @@ phases of each row estimate the unknown inter-subarray phase offsets of
 that source.  With those offsets in hand the array behaves as if it were
 calibrated, and directions follow either from matched-filter grid
 searches on the least-squares source columns (one per source) or from a
-joint nonlinear least-squares fit refined by Levenberg-Marquardt
-(:func:`pcdoa.shared_displacement.levenberg_marquardt`).
+joint nonlinear least-squares fit of one parameter vector refined by
+Levenberg-Marquardt (:func:`pcdoa.shared_displacement.levenberg_marquardt`).
 
 A pair that one subarray cannot resolve is the exception: there the
 separated offsets of the weaker source are close to noise, so
@@ -14,7 +14,9 @@ separated offsets of the weaker source are close to noise, so
 sources instead (:mod:`pcdoa.shared_displacement`).  The test is
 physical and made on the starting directions: a sine separation below
 a tenth of the subarray Rayleigh resolution wavelength / subarray
-length.
+length.  That fit polishes its many search starts as one stack for
+three iterations each, then its winner with the same one-vector
+solver.
 
 Angles are degrees at every public interface; the fit itself runs in
 radians.  ``nls_cost_gradients`` exposes the gradient -2 Re(J^H r) of the
@@ -280,17 +282,20 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
     """Joint direction and amplitude fit, started from the grid peaks.
 
     Two models, chosen from the starting directions, both refined by
-    :func:`pcdoa.shared_displacement.levenberg_marquardt`:
+    :func:`pcdoa.shared_displacement.levenberg_marquardt`, which fits one
+    parameter vector:
 
     - A pair the subarrays cannot resolve (sine separation below a tenth
       of the subarray Rayleigh resolution wavelength / subarray length,
       mean sine nonzero, at least four subarrays) is fitted with subarray
       displacements shared by both sources, found by a global search
-      first; see :mod:`pcdoa.shared_displacement`.  The separated offsets
-      are not used there.
+      first; see :mod:`pcdoa.shared_displacement`.  The search polishes
+      its starts as one stack for three iterations each; the solver then
+      refines the winner.  The separated offsets are not used there.
     - Every other set of directions keeps the separated offsets fixed and
       fits C(theta, s) in (theta, Re s, Im s), starting from the
-      least-squares amplitudes at the starting directions.
+      least-squares amplitudes at the starting directions; the solver
+      calls the fit's cost and Jacobian directly.
 
     ``max_iterations`` caps the final Levenberg-Marquardt run, which also
     ends when an accepted step lowers the cost by a relative 1e-10 or
@@ -314,27 +319,15 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
         )
     else:
         s = _least_squares_amplitudes(x, geometry, phi, theta)
-
-        def residual_jacobian(params):
-            pairs = [_residual_jacobian(x, geometry, phi, *_split(p)) for p in params]
-            return np.array([r for r, _ in pairs]), np.array([j for _, j in pairs])
-
-        def costs(params):
-            return np.array([_cost(x, geometry, phi, *_split(p)) for p in params])
-
-        def inside(params):
-            return np.all(np.abs(params[:, : theta.size]) < np.pi / 2, axis=1)
-
-        params, _, histories, steps, reasons = levenberg_marquardt(
-            np.concatenate([theta, s.real, s.imag])[None, :],
-            residual_jacobian,
-            costs,
-            inside,
+        params, history, iterations, reason = levenberg_marquardt(
+            np.concatenate([theta, s.real, s.imag]),
+            lambda p: _residual_jacobian(x, geometry, phi, *_split(p)),
+            lambda p: _cost(x, geometry, phi, *_split(p)),
+            lambda p: bool(np.all(np.abs(p[: theta.size]) < np.pi / 2)),
             max_iterations,
             _COST_TOLERANCE,
         )
-        theta, s = _split(params[0])
-        history, iterations, reason = histories[0], steps[0], reasons[0]
+        theta, s = _split(params)
     return DoaEstimate(
         directions_deg=np.degrees(theta),
         amplitudes=s,

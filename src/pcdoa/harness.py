@@ -159,7 +159,7 @@ class TrialConfig:
                 angle_grid(*self.grid_deg)
             except (InvalidParameterError, DomainError) as exc:
                 raise ConfigError(f"run.grid: {exc}") from None
-        for value in self.sweep_values:
+        for value in self.sweep_values or (None,):
             self.scenario(value)
 
     def scenario(self, sweep_value: Optional[float] = None) -> Tuple[np.ndarray, float]:
@@ -167,7 +167,8 @@ class TrialConfig:
 
         `None` gives the configured scenario. Raises `ConfigError` for a
         separation that needs other than two sources or that pushes
-        sin(theta_2) outside (-1, 1).
+        sin(theta_2) outside (-1, 1), and for an SNR so low that the noise
+        variance overflows.
         """
         directions = np.array(self.directions_deg, dtype=float)
         snr_db = self.snr_db
@@ -181,7 +182,10 @@ class TrialConfig:
             if not -1.0 < target < 1.0:
                 raise ConfigError(f"separation {sweep_value} puts sin(theta_2) at {target}")
             directions[1] = math.degrees(math.asin(target))
-        return directions, 10.0 ** (-snr_db / 10.0)
+        try:
+            return directions, 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"snr_db {snr_db} makes the noise variance overflow") from None
 
     def with_overrides(
         self,

@@ -30,14 +30,16 @@ from a global search:
 3. A constant-modulus separation of the two source rows (ACMA, van der
    Veen & Paulraj, IEEE TSP 1996), exact without noise, gives further
    starts: q is read off the phase vernier of the two rows.
-4. Every start is polished by a short run of :func:`levenberg_marquardt`
-   on the full model, all starts as one stack, and the lowest cost wins.
-   The same function fits the fixed-offset model of
-   :func:`pcdoa.estimators.bss_nls`.
+4. Every start is polished by three Levenberg-Marquardt iterations on
+   the full model, all starts as one stack (``_Fit.polish_starts``), so
+   one model and Jacobian evaluation serves every start; the lowest cost
+   wins.
 5. Step 2 is repeated on a grid twice as fine around the winner, started
    from its amplitudes, with each branch phase corrected for the pull of
    the weaker source on arg(y_k); the new starts are polished as in 4,
-   and the overall winner is polished to convergence.
+   and the overall winner is polished to convergence by
+   :func:`levenberg_marquardt`, the one-vector solver that also fits the
+   fixed-offset model of :func:`pcdoa.estimators.bss_nls`.
 
 The fit parameterizes the pair by the reference sine u, the ratio
 rho = 1 + q of the two sines and the reference phases psi_k = kappa xi_k u
@@ -104,10 +106,7 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_toleran
     best = fit.best_of(starts + fit.vernier_starts())
     moduli, grid = fit.around(best[0])
     best = fit.best_of(fit.modulus_starts(moduli, grid, _STARTS_REFINED, pull=True), best)
-    params, _, histories, iterations, reasons = fit.polish(
-        best[0][None, :], max_iterations, cost_tolerance, refit_amplitudes=False
-    )
-    params, history = params[0], histories[0]
+    params, history, iterations, reason = fit.polish(best[0], max_iterations, cost_tolerance)
     u = params[0] * np.array([1.0, params[1]])
     amplitudes = params[fit.K + 1 : fit.K + 3] + 1j * params[fit.K + 3 : fit.K + 5]
     theta = np.arcsin(u)
@@ -115,7 +114,7 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_toleran
         theta[1] - theta_rad[0]
     ) + abs(theta[0] - theta_rad[1]):
         theta, amplitudes = theta[::-1], amplitudes[::-1]
-    return theta, amplitudes, history, int(best[2] + iterations[0]), reasons[0]
+    return theta, amplitudes, history, int(best[2] + iterations), reason
 
 
 class _Fit:
@@ -268,12 +267,7 @@ class _Fit:
     def best_of(self, starts, best=None):
         """Polish all (q, phi) starts briefly; keep (params, cost, iterations)
         of the lowest cost, or ``best`` when none is lower."""
-        params = np.array(
-            [np.concatenate(([self.u_ref, 1.0 + q], phi[1:], np.zeros(4))) for q, phi in starts]
-        )
-        params, costs, _, iterations, _ = self.polish(
-            params, _START_ITERATIONS, 0.0, refit_amplitudes=True
-        )
+        params, costs, iterations = self.polish_starts(starts)
         i = int(np.argmin(costs))
         if best is None or costs[i] < best[1]:
             best = (params[i], costs[i], iterations[i])
@@ -315,19 +309,79 @@ class _Fit:
         count = len(params)
         return residual.reshape(count, -1), jac.reshape(count, self.M * K, K + 5)
 
-    def polish(self, params, max_iterations, tolerance, refit_amplitudes):
-        """:func:`levenberg_marquardt` on the full model for a stack of
-        parameter vectors, optionally after refitting their amplitudes."""
-        params = np.array(params, dtype=float)
-        if refit_amplitudes:
-            K = self.K
-            # The pseudo-inverse also covers starts whose two sines coincide.
-            basis = self._model(params)[0].reshape(len(params), self.M * K, 2)
-            s = (np.linalg.pinv(basis) @ self.x.reshape(-1, 1))[..., 0]
-            params[:, K + 1 : K + 3], params[:, K + 3 : K + 5] = s.real, s.imag
+    def polish(self, params, max_iterations, tolerance):
+        """:func:`levenberg_marquardt` on the full model for one parameter
+        vector."""
         return levenberg_marquardt(
-            params, self._jacobian, self._costs, _sines_inside, max_iterations, tolerance
+            params,
+            lambda p: tuple(part[0] for part in self._jacobian(p[None])),
+            lambda p: self._costs(p[None])[0],
+            lambda p: bool(_sines_inside(p[None])[0]),
+            max_iterations,
+            tolerance,
         )
+
+    def polish_starts(self, starts):
+        """The S (q, phi) starts as parameter vectors with least-squares
+        amplitudes, each run through ``_START_ITERATIONS``
+        Levenberg-Marquardt iterations with its own damping; returns
+        (params, costs, iterations), one row per start.
+
+        Per vector the arithmetic is that of :func:`levenberg_marquardt`,
+        so every start ends bit for bit as it would polished alone;
+        stacking them lets one model and Jacobian evaluation serve all S.
+        A start stops early only when no damping lowers its cost.
+        """
+        params = np.array(
+            [np.concatenate(([self.u_ref, 1.0 + q], phi[1:], np.zeros(4))) for q, phi in starts]
+        )
+        K = self.K
+        # The pseudo-inverse also covers starts whose two sines coincide.
+        basis = self._model(params)[0].reshape(len(params), self.M * K, 2)
+        s = (np.linalg.pinv(basis) @ self.x.reshape(-1, 1))[..., 0]
+        params[:, K + 1 : K + 3], params[:, K + 3 : K + 5] = s.real, s.imag
+        count, size = params.shape
+        costs = self._costs(params)
+        damping = np.full(count, 1e-3)
+        iterations = np.zeros(count, dtype=int)
+        active = np.ones(count, dtype=bool)
+        identity = np.eye(size)
+        for _ in range(_START_ITERATIONS):
+            live = np.flatnonzero(active)
+            if live.size == 0:
+                break
+            iterations[live] += 1
+            residual, jac = self._jacobian(params[live])
+            adjoint = np.conj(np.swapaxes(jac, 1, 2))
+            normal = (adjoint @ jac).real
+            gradient = (adjoint @ residual[..., None]).real
+            scale = np.diagonal(normal, axis1=1, axis2=2).copy()
+            scale[scale == 0] = 1.0
+            pending = np.arange(live.size)
+            for _ in range(30):
+                if pending.size == 0:
+                    break
+                rows = live[pending]
+                system = normal[pending] + damping[rows, None, None] * (
+                    scale[pending, :, None] * identity
+                )
+                try:
+                    trial = params[rows] + np.linalg.solve(system, gradient[pending])[..., 0]
+                except np.linalg.LinAlgError:
+                    damping[rows] *= 10.0
+                    continue
+                valid = _sines_inside(trial)
+                trial_costs = np.full(rows.size, np.inf)
+                if valid.any():
+                    trial_costs[valid] = self._costs(trial[valid])
+                better = trial_costs < costs[rows]
+                won = rows[better]
+                params[won], costs[won] = trial[better], trial_costs[better]
+                damping[won] = np.maximum(damping[won] / 10.0, 1e-12)
+                damping[rows[~better]] *= 10.0
+                pending = pending[~better]
+            active[live[pending]] = False
+        return params, costs, iterations
 
 
 def _sines_inside(params):
@@ -335,73 +389,51 @@ def _sines_inside(params):
     return (np.abs(params[:, 0]) < 1) & (np.abs(params[:, 0] * params[:, 1]) < 1)
 
 
-def levenberg_marquardt(params, residual_jacobian, costs, inside, max_iterations, tolerance):
-    """Levenberg-Marquardt for a stack of S real parameter vectors, each
-    with its own damping.
+def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations, tolerance):
+    """Levenberg-Marquardt for one real parameter vector.
 
-    ``residual_jacobian(params)`` returns the S residuals x - model,
-    flattened, and the S Jacobians of the model; ``costs(params)`` returns
-    the S squared residuals; ``inside(params)`` is False where a vector
-    leaves the model's domain.  Returns (params, costs, accepted-cost
-    histories, iterations, stop reasons), one entry per vector.  A vector
-    stops ``"converged"`` when its relative cost decrease falls to
+    ``residual_jacobian(params)`` returns the residual x - model, flattened,
+    and the model's Jacobian; ``cost(params)`` returns the squared
+    residual; ``inside(params)`` is False where the vector leaves the
+    model's domain.  Each iteration solves the normal equations damped on
+    their diagonal, retrying up to 30 times with ten times the damping
+    until the cost falls strictly; an accepted step divides the damping
+    by ten.  Returns (params, accepted-cost history, iterations, stop
+    reason): ``"converged"`` when the relative cost decrease falls to
     ``tolerance``, ``"stalled"`` when no damping finds a lower cost, and
     ``"iteration_cap"`` after ``max_iterations``.
     """
     params = np.array(params, dtype=float)
-    count, size = params.shape
-    costs_now = costs(params)
-    histories = [[cost] for cost in costs_now]
-    damping = np.full(count, 1e-3)
-    iterations = np.zeros(count, dtype=int)
-    reasons = ["iteration_cap"] * count
-    active = np.ones(count, dtype=bool)
-    identity = np.eye(size)
-    for _ in range(int(max_iterations)):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        iterations[live] += 1
-        residual, jac = residual_jacobian(params[live])
-        adjoint = np.conj(np.swapaxes(jac, 1, 2))
+    cost_now = cost(params)
+    history = [cost_now]
+    damping = 1e-3
+    identity = np.eye(params.size)
+    for iteration in range(1, int(max_iterations) + 1):
+        residual, jac = residual_jacobian(params)
+        adjoint = jac.conj().T
         normal = (adjoint @ jac).real
-        gradient = (adjoint @ residual[..., None]).real
-        scale = np.diagonal(normal, axis1=1, axis2=2).copy()
+        gradient = (adjoint @ residual[:, None]).real
+        scale = np.diagonal(normal).copy()
         scale[scale == 0] = 1.0
-        pending = np.arange(live.size)
         for _ in range(30):
-            if pending.size == 0:
-                break
-            rows = live[pending]
-            system = normal[pending] + damping[rows, None, None] * (
-                scale[pending, :, None] * identity
-            )
             try:
-                trial = params[rows] + np.linalg.solve(system, gradient[pending])[..., 0]
+                step = np.linalg.solve(normal + damping * (scale[:, None] * identity), gradient)
             except np.linalg.LinAlgError:
-                damping[rows] *= 10.0
+                damping *= 10.0
                 continue
-            valid = inside(trial)
-            trial_costs = np.full(rows.size, np.inf)
-            if valid.any():
-                trial_costs[valid] = costs(trial[valid])
-            better = trial_costs < costs_now[rows]
-            won = rows[better]
-            previous = costs_now[won]
-            params[won], costs_now[won] = trial[better], trial_costs[better]
-            for i in won:
-                histories[i].append(costs_now[i])
-            damping[won] = np.maximum(damping[won] / 10.0, 1e-12)
-            done = won[previous - costs_now[won] <= tolerance * previous]
-            active[done] = False
-            for i in done:
-                reasons[i] = "converged"
-            damping[rows[~better]] *= 10.0
-            pending = pending[~better]
-        active[live[pending]] = False
-        for i in live[pending]:
-            reasons[i] = "stalled"
-    return params, costs_now, histories, iterations, reasons
+            trial = params + step[:, 0]
+            trial_cost = cost(trial) if inside(trial) else np.inf
+            if trial_cost < cost_now:
+                break
+            damping *= 10.0
+        else:
+            return params, history, iteration, "stalled"
+        previous, params, cost_now = cost_now, trial, trial_cost
+        history.append(cost_now)
+        damping = max(damping / 10.0, 1e-12)
+        if previous - cost_now <= tolerance * previous:
+            return params, history, iteration, "converged"
+    return params, history, int(max_iterations), "iteration_cap"
 
 
 def _pull(a, c, q, phi):

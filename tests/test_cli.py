@@ -389,6 +389,26 @@ class TestErrors:
         ) == 2
         assert not (out / "spectra.json").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "estimate"])
+    def test_overflowing_snr_override_refused(self, tmp_path, command):
+        # 10 ** (4000 / 10) overflows a float: it used to escape as an
+        # OverflowError traceback (exit 1).
+        out = tmp_path / "out"
+        assert run(command, "--config", "experiment", "--snr-db", "-4000", "--out", str(out)) == 2
+        assert not list(out.glob("*.json"))
+
+    def test_overflowing_swept_snr_refused_before_any_trial(self, tmp_path, monkeypatch):
+        text = resources.files("pcdoa").joinpath("configs").joinpath("fig6a.yaml").read_text()
+        assert "values: [0.0," in text
+        path = tmp_path / "fig6a_low.yaml"
+        path.write_text(text.replace("values: [0.0,", "values: [-4000.0, 0.0,"))
+        calls = []
+        monkeypatch.setattr(harness, "trial_snapshot", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run("montecarlo", "--config", str(path), "--trials", "1", "--out", str(out)) == 2
+        assert calls == []
+        assert not (out / "rmse.csv").exists()
+
     @pytest.mark.parametrize(
         "command,written", [("montecarlo", "rmse.csv"), ("estimate", "spectra.csv")]
     )

@@ -24,7 +24,7 @@ from pcdoa.estimators import (
     nls_cost_gradients,
 )
 from pcdoa.jade import jade_separate
-from pcdoa.shared_displacement import _Fit, unresolved_pair
+from pcdoa.shared_displacement import _Fit, levenberg_marquardt, unresolved_pair
 
 
 def small_geometry():
@@ -528,6 +528,22 @@ class TestSharedDisplacement:
         _, cost, _ = fit.best_of([(0.0, fit.phase)])
         assert np.isfinite(cost)
 
+    def test_stacked_start_polish_matches_each_start_alone(self):
+        geometry = paper_geometry()
+        snapshot, _ = synthesize(
+            geometry, SourceScenario([1.2, 1.4], [np.exp(0.6j), 3 * np.exp(1.9j)], 0.01, seed=2)
+        )
+        fit = _Fit(snapshot.data, geometry, np.radians([1.2, 1.4]))
+        starts = fit.modulus_starts(fit.initial_moduli(), fit.q_grid, 16, pull=False)
+        starts += fit.vernier_starts()
+        params, costs, iterations = fit.polish_starts(starts)
+        assert len(starts) > 30
+        for i, start in enumerate(starts):
+            alone = fit.polish_starts([start])
+            assert np.array_equal(alone[0][0], params[i])
+            assert np.array_equal(alone[1][0], costs[i])
+            assert alone[2][0] == iterations[i]
+
     def test_cost_history_and_final_cost(self):
         geometry = self.random_geometry()
         truth = np.array([1.2, 1.4])
@@ -540,3 +556,53 @@ class TestSharedDisplacement:
         assert np.all(np.diff(history) <= 0.0)
         assert result.final_cost == history[-1]
         assert result.iterations >= history.size - 1
+
+
+class TestLevenbergMarquardt:
+    """The one-vector solver on the linear model y - A p."""
+
+    rng = np.random.default_rng(11)
+    design = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    y = design @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(12)
+
+    def solve(self, max_iterations=100, tolerance=1e-10, inside=lambda p: True):
+        return levenberg_marquardt(
+            np.zeros(3),
+            lambda p: (self.y - self.design @ p, self.design),
+            lambda p: float(np.sum(np.abs(self.y - self.design @ p) ** 2)),
+            inside,
+            max_iterations,
+            tolerance,
+        )
+
+    def test_converged_at_least_squares_solution(self):
+        params, history, iterations, reason = self.solve()
+        assert reason == "converged"
+        assert iterations == len(history) - 1
+        real_design = np.vstack([self.design.real, self.design.imag])
+        best = np.linalg.lstsq(real_design, np.r_[self.y.real, self.y.imag], rcond=None)[0]
+        np.testing.assert_allclose(params, best, atol=1e-6)
+
+    def test_stalled_when_every_step_is_refused(self):
+        params, history, iterations, reason = self.solve(inside=lambda p: False)
+        assert reason == "stalled"
+        assert iterations == 1
+        assert np.array_equal(params, np.zeros(3))
+        assert history == [float(np.sum(np.abs(self.y) ** 2))]
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    def test_iteration_cap(self, cap):
+        params, history, iterations, reason = self.solve(max_iterations=cap, tolerance=0.0)
+        assert reason == "iteration_cap"
+        assert iterations == cap
+        assert len(history) == cap + 1
+        if cap == 0:
+            assert np.array_equal(params, np.zeros(3))
+
+    @pytest.mark.parametrize("bound", [np.inf, 0.6, 0.1], ids=["free", "wall-0.6", "wall-0.1"])
+    def test_accepted_costs_never_increase(self, bound):
+        # A wall at p[0] = bound refuses the steps that cross it, so the
+        # damping both rises and falls.
+        _, history, _, _ = self.solve(inside=lambda p: p[0] < bound)
+        assert len(history) > 2
+        assert np.all(np.diff(history) < 0.0)
