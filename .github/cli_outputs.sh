@@ -5,8 +5,11 @@ set -euo pipefail
 out="$1"
 python -m pcdoa.cli estimate --config experiment --out "$out/estimate"
 python -m pcdoa.cli montecarlo --config fig6a --trials 2 --seed 7 --out "$out/montecarlo"
-# fig6b's close pair is the only packaged run that reaches the shared-displacement fit.
+# fig6b's and fig5b's close pairs reach the shared-displacement fit; the
+# montecarlo sidecar holds no fit result, the estimate sidecar holds its
+# amplitudes, final cost, iterations and stop reason.
 python -m pcdoa.cli montecarlo --config fig6b --trials 1 --seed 7 --out "$out/montecarlo_b"
+python -m pcdoa.cli estimate --config fig5b --out "$out/estimate_b"
 python -m pcdoa.cli synth --config fig5a --out "$out/synth"
 # From inside the run directory, so the sidecar's `inputs` path is the same in every run.
 (cd "$out" && python -m pcdoa.cli ingest --config fig5a --add synth/snapshot.csv --out ingest)

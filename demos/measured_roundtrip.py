@@ -27,6 +27,7 @@ from pcdoa import (
 def main():
     config = load_packaged_config("experiment")
     geometry = config.geometry.build()
+    noise_var = config.scenario()[1]
     workdir = Path(tempfile.mkdtemp(prefix="roundtrip_"))
 
     # one capture per emitter; the noise differs between captures, as it
@@ -35,7 +36,7 @@ def main():
     for index, (theta, amp) in enumerate(
         zip(config.directions_deg, config.amplitudes)
     ):
-        scenario = SourceScenario([theta], [amp], 10.0 ** (-config.snr_db / 10.0), seed=100 + index)
+        scenario = SourceScenario([theta], [amp], noise_var, seed=100 + index)
         part, _ = synthesize(geometry, scenario)
         path = workdir / f"capture_{index + 1}.csv"
         write_snapshot_csv(path, part)
@@ -50,12 +51,7 @@ def main():
     roundtrip = ingest_snapshot_csv(paths[0], geometry)
     original, _ = synthesize(
         geometry,
-        SourceScenario(
-            [config.directions_deg[0]],
-            [config.amplitudes[0]],
-            10.0 ** (-config.snr_db / 10.0),
-            seed=100,
-        ),
+        SourceScenario([config.directions_deg[0]], [config.amplitudes[0]], noise_var, seed=100),
     )
     exact = np.array_equal(roundtrip.data, original.data)
     print(f"\nCSV round trip bit-exact: {exact}")

@@ -17,10 +17,7 @@ def run(name):
     config = load_packaged_config(name)
     geometry = config.geometry.build()
     scenario = SourceScenario(
-        config.directions_deg,
-        config.amplitudes,
-        10.0 ** (-config.snr_db / 10.0),
-        seed=7,
+        config.directions_deg, config.amplitudes, config.scenario()[1], seed=7
     )
     snapshot, _ = synthesize(geometry, scenario)
     _, mf, nls = estimate(config, geometry, snapshot)

@@ -79,6 +79,7 @@ def _cmd_ingest(config: TrialConfig, args) -> int:
 
 
 def _cmd_estimate(config: TrialConfig, args) -> int:
+    config.required_grid()
     geometry = config.geometry.build()
     if args.add:
         snapshot = superpose_snapshots(args.add, geometry)

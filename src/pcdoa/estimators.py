@@ -5,23 +5,14 @@ phases of each row estimate the unknown inter-subarray phase offsets of
 that source.  With those offsets in hand the array behaves as if it were
 calibrated, and directions follow either from matched-filter grid
 searches on the least-squares source columns (one per source) or from a
-joint nonlinear least-squares fit of one parameter vector refined by
-Levenberg-Marquardt (:func:`pcdoa.shared_displacement.levenberg_marquardt`).
+nonlinear least-squares fit.  :func:`bss_nls` states which model that
+fit uses for which directions and how it is solved.
 
-A pair that one subarray cannot resolve is the exception: there the
-separated offsets of the weaker source are close to noise, so
-``bss_nls`` drops them and fits subarray displacements shared by both
-sources instead (:mod:`pcdoa.shared_displacement`).  The test is
-physical and made on the starting directions: a sine separation below
-a tenth of the subarray Rayleigh resolution wavelength / subarray
-length.  That fit polishes its many search starts as one stack for
-three iterations each, then its winner with the same one-vector
-solver.
-
-Angles are degrees at every public interface; the fit itself runs in
-radians.  ``nls_cost_gradients`` exposes the gradient -2 Re(J^H r) of the
-fit's residual r and Jacobian J, so they can be checked against finite
-differences.
+Angles are degrees at every public interface except one:
+``nls_cost_gradients`` takes and differentiates radian directions, the
+parameters the fit itself runs in.  It exposes the gradient
+-2 Re(J^H r) of the fit's residual r and Jacobian J, so they can be
+checked against finite differences.
 """
 
 from __future__ import annotations
@@ -47,10 +38,6 @@ __all__ = [
     "bss_nls",
     "match_sources",
 ]
-
-
-# Relative cost decrease at which the Levenberg-Marquardt fit stops.
-_COST_TOLERANCE = 1e-10
 
 
 def _frozen(arr):
@@ -110,12 +97,22 @@ class DoaEstimate:
                 object.__setattr__(self, name, _frozen(np.asarray(value)))
 
 
-def _as_matrix(value):
-    return np.asarray(getattr(value, "data", value), dtype=complex)
+def _fit_inputs(measurements, geometry, offsets, count=None):
+    """The measurement and offset matrices of a fit, as complex arrays.
 
-
-def _offsets_matrix(offsets):
-    return np.asarray(getattr(offsets, "offsets", offsets), dtype=complex)
+    Raises ``InvalidParameterError`` unless the measurements are M x K
+    for the geometry and the offsets are 2-D with K columns and, when
+    ``count`` directions are given, ``count`` rows.
+    """
+    x = np.asarray(getattr(measurements, "data", measurements), dtype=complex)
+    phi = np.asarray(getattr(offsets, "offsets", offsets), dtype=complex)
+    if x.shape != (geometry.elements_per_subarray, geometry.subarray_count):
+        raise InvalidParameterError("measurement shape does not match the geometry")
+    if phi.ndim != 2 or phi.shape[1] != geometry.subarray_count:
+        raise InvalidParameterError("offsets must have one column per subarray")
+    if count is not None and phi.shape[0] != count:
+        raise InvalidParameterError("offsets must have one row per initial direction")
+    return x, phi
 
 
 def estimate_phase_offsets(separated):
@@ -169,18 +166,13 @@ def bss_mf(measurements, geometry, offsets, grid):
     subarray and the triple, so they are computed once per such key and
     reused, read-only, by later calls.
     """
-    x = _as_matrix(measurements)
-    phi = _offsets_matrix(offsets)
+    x, phi = _fit_inputs(measurements, geometry, offsets)
     triple = np.asarray(grid, dtype=float)
     if triple.shape != (3,):
         raise InvalidParameterError("grid must be a (start, stop, step) triple in degrees")
     grid_deg, steering = _grid_steering(
         float(geometry.wavelength), geometry.intra_displacements.tobytes(), *triple.tolist()
     )
-    if x.shape != (geometry.elements_per_subarray, geometry.subarray_count):
-        raise InvalidParameterError("measurement shape does not match the geometry")
-    if phi.shape[1] != geometry.subarray_count:
-        raise InvalidParameterError("offsets must have one column per subarray")
     columns = _source_columns(x, phi)
     spectra = np.abs(columns.conj().T @ steering)
     peak_index = np.argmax(spectra, axis=1)
@@ -209,11 +201,16 @@ def _grid_steering(wavelength, displacements, start_deg, stop_deg, step_deg):
 def _source_columns(x, phi):
     """Least-squares source columns C of X = C Phi, one per offset row."""
     gram = phi @ phi.conj().T
-    rhs = (x @ phi.conj().T).T
+    return _solve(gram.T, (x @ phi.conj().T).T).T
+
+
+def _solve(matrix, rhs):
+    """solve(matrix, rhs), or its least-squares solution when the matrix
+    is singular."""
     try:
-        return np.linalg.solve(gram.T, rhs).T
+        return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(gram.T, rhs, rcond=None)[0].T
+        return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
 
 
 def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
@@ -222,13 +219,9 @@ def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
     C(theta, s) = sum_k || x_k - B(theta) Phi_k s ||^2 with the phase
     offsets held fixed.
     """
-    return _cost(
-        _as_matrix(measurements),
-        geometry,
-        _offsets_matrix(offsets),
-        np.radians(np.asarray(directions_deg, dtype=float)),
-        np.asarray(amplitudes, dtype=complex),
-    )
+    theta = np.radians(np.asarray(directions_deg, dtype=float))
+    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
+    return _cost(x, geometry, phi, theta, np.asarray(amplitudes, dtype=complex))
 
 
 def _cost(x, geometry, phi, theta_rad, amplitudes):
@@ -266,13 +259,9 @@ def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
     ``bss_nls`` fits with.
     """
     theta = np.asarray(theta_rad, dtype=float)
-    residual, jac = _residual_jacobian(
-        _as_matrix(measurements),
-        geometry,
-        _offsets_matrix(offsets),
-        theta,
-        np.asarray(amplitudes, dtype=complex),
-    )
+    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    residual, jac = _residual_jacobian(x, geometry, phi, theta, amplitudes)
     gradient = -2.0 * (jac.conj().T @ residual).real
     grad_theta, grad_s = _split(gradient)
     return float(np.sum(np.abs(residual) ** 2)), grad_theta, grad_s
@@ -303,19 +292,14 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
     ``final_cost`` and ``cost_history`` are the squared residual of the
     model that was fitted; accepted costs never increase.
     """
-    x = _as_matrix(measurements)
-    phi = _offsets_matrix(offsets)
     theta = np.radians(np.asarray(init_directions_deg, dtype=float))
     if not np.all(np.abs(theta) < np.pi / 2):
         raise DomainError("initial directions must lie strictly inside (-90, 90) degrees")
-    if phi.shape[0] != theta.size:
-        raise InvalidParameterError("offsets must have one row per initial direction")
-    if x.shape != (geometry.elements_per_subarray, geometry.subarray_count):
-        raise InvalidParameterError("measurement shape does not match the geometry")
+    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
 
     if unresolved_pair(geometry, theta):
         theta, s, history, iterations, reason = shared_displacement_fit(
-            x, geometry, theta, max_iterations, _COST_TOLERANCE
+            x, geometry, theta, max_iterations
         )
     else:
         s = _least_squares_amplitudes(x, geometry, phi, theta)
@@ -325,7 +309,6 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
             lambda p: _cost(x, geometry, phi, *_split(p)),
             lambda p: bool(np.all(np.abs(p[: theta.size]) < np.pi / 2)),
             max_iterations,
-            _COST_TOLERANCE,
         )
         theta, s = _split(params)
     return DoaEstimate(
@@ -344,11 +327,7 @@ def _least_squares_amplitudes(x, geometry, phi, theta_rad):
     """Closed-form amplitude fit for fixed directions and offsets."""
     steering = _steering_matrix(geometry, theta_rad)
     gram = (steering.conj().T @ steering) * (phi.conj() @ phi.T)
-    rhs = np.sum(phi.conj() * (steering.conj().T @ x), axis=1)
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return _solve(gram, np.sum(phi.conj() * (steering.conj().T @ x), axis=1))
 
 
 def match_sources(estimates_deg, truths_deg):

@@ -187,6 +187,13 @@ class TrialConfig:
         except OverflowError:
             raise ConfigError(f"snr_db {snr_db} makes the noise variance overflow") from None
 
+    def required_grid(self) -> Tuple[float, float, float]:
+        """The (start, stop, step) grid that estimation searches; raises
+        `ConfigError` when the config has none."""
+        if self.grid_deg is None:
+            raise ConfigError("estimation needs run.grid in the config")
+        return self.grid_deg
+
     def with_overrides(
         self,
         seed: Optional[int] = None,
@@ -309,15 +316,14 @@ def trial_snapshot(
 def estimate(config: TrialConfig, geometry: ArrayGeometry, snapshot: MeasurementMatrix) -> tuple:
     """Run the paper's estimator on one snapshot: (offsets, matched, result).
 
-    JADE separation, phase offsets, `bss_mf` on `config.grid_deg` and, for
-    the "bss_nls" estimator, `bss_nls` from the matched-filter peaks;
-    `result` is `matched` for "bss_mf". Raises `ConfigError` without a grid.
+    JADE separation, phase offsets, `bss_mf` on `config.required_grid()`
+    and, for the "bss_nls" estimator, `bss_nls` from the matched-filter
+    peaks; `result` is `matched` for "bss_mf".
     """
-    if config.grid_deg is None:
-        raise ConfigError("estimation needs run.grid in the config")
+    grid = config.required_grid()
     separated = jade_separate(snapshot.data, len(config.directions_deg))
     offsets = estimate_phase_offsets(separated)
-    matched = bss_mf(snapshot.data, geometry, offsets, config.grid_deg)
+    matched = bss_mf(snapshot.data, geometry, offsets, grid)
     if config.estimator == "bss_mf":
         return offsets, matched, matched
     return offsets, matched, bss_nls(snapshot.data, geometry, offsets, matched.directions_deg)
@@ -335,9 +341,10 @@ def run_trial(
     Deterministic given (config.base_seed, sweep_index, trial_index); the
     noise seed is `derive_seed` of those three. Numerical failures
     (`errors.NUMERICAL_ERRORS`) are caught and reported as a failed trial;
-    a configuration error, such as the missing grid that `estimate`
-    refuses, raises.
+    a configuration error, such as a missing grid, raises before the
+    snapshot is synthesized.
     """
+    config.required_grid()
     if geometry is None:
         geometry = config.geometry.build()
     directions, noise_var = config.scenario(sweep_value)

@@ -120,7 +120,7 @@ def estimate_whitener(measurements, n_sources):
 
     Parameters
     ----------
-    measurements : array_like
+    measurements : array_like or MeasurementMatrix
         N x T complex matrix (one column per sample).
     n_sources : int
         Number of signal dimensions L with 1 <= L < N and T >= L.
@@ -131,7 +131,7 @@ def estimate_whitener(measurements, n_sources):
         If a debiased signal eigenvalue is not positive; the offending
         1-based index is recorded on the exception.
     """
-    y = np.asarray(measurements, dtype=complex)
+    y = np.asarray(getattr(measurements, "data", measurements), dtype=complex)
     if y.ndim != 2:
         raise InvalidParameterError("measurements must be a 2-D matrix")
     n_rows, n_samples = y.shape

@@ -30,16 +30,16 @@ from a global search:
 3. A constant-modulus separation of the two source rows (ACMA, van der
    Veen & Paulraj, IEEE TSP 1996), exact without noise, gives further
    starts: q is read off the phase vernier of the two rows.
-4. Every start is polished by three Levenberg-Marquardt iterations on
-   the full model, all starts as one stack (``_Fit.polish_starts``), so
-   one model and Jacobian evaluation serves every start; the lowest cost
-   wins.
+4. Every start is polished briefly on the full model, all starts as one
+   stack (``_Fit.polish_starts``); the lowest cost wins.
 5. Step 2 is repeated on a grid twice as fine around the winner, started
    from its amplitudes, with each branch phase corrected for the pull of
    the weaker source on arg(y_k); the new starts are polished as in 4,
    and the overall winner is polished to convergence by
-   :func:`levenberg_marquardt`, the one-vector solver that also fits the
-   fixed-offset model of :func:`pcdoa.estimators.bss_nls`.
+   :func:`levenberg_marquardt`.
+
+:func:`pcdoa.estimators.bss_nls` states when this fit applies and how
+both of its stages are solved.
 
 The fit parameterizes the pair by the reference sine u, the ratio
 rho = 1 + q of the two sines and the reference phases psi_k = kappa xi_k u
@@ -69,6 +69,12 @@ _STARTS_REFINED = 6
 _LOCAL_STEPS = 40
 _START_ITERATIONS = 3
 _VERNIER_STEPS = 300
+# Levenberg-Marquardt damping: its value at the start of a run, its floor
+# after accepted steps, and the tries, each with ten times the damping,
+# to lower the cost in one iteration.
+_DAMPING_START = 1e-3
+_DAMPING_FLOOR = 1e-12
+_DAMPING_TRIES = 30
 # A branch may lie this far outside the phase span the placement allows.
 _BRANCH_MARGIN = np.pi
 
@@ -80,20 +86,18 @@ def _search_halfwidth(geometry):
 
 
 def unresolved_pair(geometry, theta_rad):
-    """True when the fit applies: a pair whose sine separation is below a
-    tenth of the subarray Rayleigh resolution wavelength / (subarray
-    length), centred off broadside.
-
-    Needs at least four subarrays, which the projected model needs to
-    determine the pair, its amplitudes and one phase per subarray.
-    """
+    """True when :func:`pcdoa.estimators.bss_nls` fits the radian
+    directions ``theta_rad`` with this module; its docstring states the
+    rule."""
+    # Four subarrays are the fewest that determine the projected model's
+    # pair, its amplitudes and one phase per subarray.
     if theta_rad.size != 2 or geometry.subarray_count < 4:
         return False
     u = np.sin(theta_rad)
     return bool(abs(u[1] - u[0]) < _search_halfwidth(geometry) and u.mean() != 0.0)
 
 
-def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_tolerance):
+def shared_displacement_fit(x, geometry, theta_rad, max_iterations):
     """Fit two directions sharing unknown subarray displacements.
 
     Returns ``(theta_rad, amplitudes, cost_history, iterations,
@@ -106,7 +110,7 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations, cost_toleran
     best = fit.best_of(starts + fit.vernier_starts())
     moduli, grid = fit.around(best[0])
     best = fit.best_of(fit.modulus_starts(moduli, grid, _STARTS_REFINED, pull=True), best)
-    params, history, iterations, reason = fit.polish(best[0], max_iterations, cost_tolerance)
+    params, history, iterations, reason = fit.polish(best[0], max_iterations)
     u = params[0] * np.array([1.0, params[1]])
     amplitudes = params[fit.K + 1 : fit.K + 3] + 1j * params[fit.K + 3 : fit.K + 5]
     theta = np.arcsin(u)
@@ -309,7 +313,7 @@ class _Fit:
         count = len(params)
         return residual.reshape(count, -1), jac.reshape(count, self.M * K, K + 5)
 
-    def polish(self, params, max_iterations, tolerance):
+    def polish(self, params, max_iterations):
         """:func:`levenberg_marquardt` on the full model for one parameter
         vector."""
         return levenberg_marquardt(
@@ -318,7 +322,6 @@ class _Fit:
             lambda p: self._costs(p[None])[0],
             lambda p: bool(_sines_inside(p[None])[0]),
             max_iterations,
-            tolerance,
         )
 
     def polish_starts(self, starts):
@@ -342,7 +345,7 @@ class _Fit:
         params[:, K + 1 : K + 3], params[:, K + 3 : K + 5] = s.real, s.imag
         count, size = params.shape
         costs = self._costs(params)
-        damping = np.full(count, 1e-3)
+        damping = np.full(count, _DAMPING_START)
         iterations = np.zeros(count, dtype=int)
         active = np.ones(count, dtype=bool)
         identity = np.eye(size)
@@ -351,14 +354,9 @@ class _Fit:
             if live.size == 0:
                 break
             iterations[live] += 1
-            residual, jac = self._jacobian(params[live])
-            adjoint = np.conj(np.swapaxes(jac, 1, 2))
-            normal = (adjoint @ jac).real
-            gradient = (adjoint @ residual[..., None]).real
-            scale = np.diagonal(normal, axis1=1, axis2=2).copy()
-            scale[scale == 0] = 1.0
+            normal, gradient, scale = _normal_equations(*self._jacobian(params[live]))
             pending = np.arange(live.size)
-            for _ in range(30):
+            for _ in range(_DAMPING_TRIES):
                 if pending.size == 0:
                     break
                 rows = live[pending]
@@ -377,7 +375,7 @@ class _Fit:
                 better = trial_costs < costs[rows]
                 won = rows[better]
                 params[won], costs[won] = trial[better], trial_costs[better]
-                damping[won] = np.maximum(damping[won] / 10.0, 1e-12)
+                damping[won] = np.maximum(damping[won] / 10.0, _DAMPING_FLOOR)
                 damping[rows[~better]] *= 10.0
                 pending = pending[~better]
             active[live[pending]] = False
@@ -389,33 +387,41 @@ def _sines_inside(params):
     return (np.abs(params[:, 0]) < 1) & (np.abs(params[:, 0] * params[:, 1]) < 1)
 
 
-def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations, tolerance):
+def _normal_equations(residual, jac):
+    """Re(J^H J), Re(J^H r) as a column and the damping scale, the
+    diagonal of Re(J^H J) with zeros set to 1, for one residual r and
+    Jacobian J or for a stack of them."""
+    adjoint = np.conj(np.swapaxes(jac, -1, -2))
+    normal = (adjoint @ jac).real
+    gradient = (adjoint @ residual[..., None]).real
+    scale = np.diagonal(normal, axis1=-2, axis2=-1).copy()
+    scale[scale == 0] = 1.0
+    return normal, gradient, scale
+
+
+def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations, tolerance=1e-10):
     """Levenberg-Marquardt for one real parameter vector.
 
     ``residual_jacobian(params)`` returns the residual x - model, flattened,
     and the model's Jacobian; ``cost(params)`` returns the squared
     residual; ``inside(params)`` is False where the vector leaves the
     model's domain.  Each iteration solves the normal equations damped on
-    their diagonal, retrying up to 30 times with ten times the damping
-    until the cost falls strictly; an accepted step divides the damping
-    by ten.  Returns (params, accepted-cost history, iterations, stop
-    reason): ``"converged"`` when the relative cost decrease falls to
-    ``tolerance``, ``"stalled"`` when no damping finds a lower cost, and
-    ``"iteration_cap"`` after ``max_iterations``.
+    their diagonal, retrying up to ``_DAMPING_TRIES`` times with ten times
+    the damping until the cost falls strictly; an accepted step divides
+    the damping by ten, down to ``_DAMPING_FLOOR``.  Returns (params,
+    accepted-cost history, iterations, stop reason): ``"converged"`` when
+    the relative cost decrease falls to ``tolerance``, ``"stalled"`` when
+    no damping finds a lower cost, and ``"iteration_cap"`` after
+    ``max_iterations``.
     """
     params = np.array(params, dtype=float)
     cost_now = cost(params)
     history = [cost_now]
-    damping = 1e-3
+    damping = _DAMPING_START
     identity = np.eye(params.size)
     for iteration in range(1, int(max_iterations) + 1):
-        residual, jac = residual_jacobian(params)
-        adjoint = jac.conj().T
-        normal = (adjoint @ jac).real
-        gradient = (adjoint @ residual[:, None]).real
-        scale = np.diagonal(normal).copy()
-        scale[scale == 0] = 1.0
-        for _ in range(30):
+        normal, gradient, scale = _normal_equations(*residual_jacobian(params))
+        for _ in range(_DAMPING_TRIES):
             try:
                 step = np.linalg.solve(normal + damping * (scale[:, None] * identity), gradient)
             except np.linalg.LinAlgError:
@@ -430,7 +436,7 @@ def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations,
             return params, history, iteration, "stalled"
         previous, params, cost_now = cost_now, trial, trial_cost
         history.append(cost_now)
-        damping = max(damping / 10.0, 1e-12)
+        damping = max(damping / 10.0, _DAMPING_FLOOR)
         if previous - cost_now <= tolerance * previous:
             return params, history, iteration, "converged"
     return params, history, int(max_iterations), "iteration_cap"

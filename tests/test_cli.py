@@ -457,6 +457,24 @@ class TestErrors:
         assert calls == []
         assert not (out / written).exists()
 
+    @pytest.mark.parametrize(
+        "command,add",
+        [("estimate", True), ("estimate", False), ("montecarlo", False), ("sweep", False)],
+    )
+    def test_missing_grid_refused_before_any_snapshot(
+        self, tmp_path, monkeypatch, command, add
+    ):
+        # fig3 has no run.grid. `estimate --add` of an unreadable file used
+        # to exit 4, and the other runs synthesized a snapshot before exit 2.
+        calls = []
+        monkeypatch.setattr(harness, "trial_snapshot", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "superpose_snapshots", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        argv = ["--add", str(tmp_path / "missing.csv")] if add else []
+        assert run(command, "--config", "fig3", *argv, "--out", str(out)) == 2
+        assert calls == []
+        assert not list(out.glob("*.csv"))
+
     def test_negative_random_layout_seed_refused(self, tmp_path):
         # numpy refuses a negative seed; it used to escape as a traceback (exit 1).
         path = tmp_path / "random.yaml"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcdoa import shared_displacement
 from pcdoa.array_model import (
     SourceScenario,
     _offset_matrix,
@@ -24,7 +25,7 @@ from pcdoa.estimators import (
     nls_cost_gradients,
 )
 from pcdoa.jade import jade_separate
-from pcdoa.shared_displacement import _Fit, levenberg_marquardt, unresolved_pair
+from pcdoa.shared_displacement import _Fit, _sines_inside, levenberg_marquardt, unresolved_pair
 
 
 def small_geometry():
@@ -375,6 +376,28 @@ class TestNls:
         with pytest.raises(InvalidParameterError):
             bss_nls(x, geometry, offsets, [10.0, 10.5])
 
+    @pytest.mark.parametrize(
+        "x_shape,offsets_shape",
+        [((4, 5), (2, 6)), ((4, 6), (2, 5)), ((4, 6), (6,)), ((4, 6), (3, 6))],
+        ids=["measurement", "offset-width", "offsets-1d", "offset-rows"],
+    )
+    def test_wrong_shapes_refused_by_every_fit(self, x_shape, offsets_shape):
+        # These used to end in a bare numpy ValueError or IndexError.
+        geometry = small_geometry()
+        x = np.ones(x_shape, dtype=complex)
+        offsets = np.ones(offsets_shape, dtype=complex)
+        directions, amplitudes = np.array([10.0, 10.5]), np.ones(2, dtype=complex)
+        fits = [
+            lambda: bss_nls(x, geometry, offsets, directions),
+            lambda: nls_cost(x, geometry, offsets, directions, amplitudes),
+            lambda: nls_cost_gradients(x, geometry, offsets, np.radians(directions), amplitudes),
+        ]
+        if offsets_shape != (3, 6):  # the grid search takes any number of rows
+            fits.append(lambda: bss_mf(x, geometry, offsets, (0.0, 20.0, 0.5)))
+        for fit in fits:
+            with pytest.raises(InvalidParameterError):
+                fit()
+
     def test_non_finite_cost_is_a_numerical_failure(self):
         for cost in (np.nan, np.inf):
             with pytest.raises(DomainError):
@@ -543,6 +566,36 @@ class TestSharedDisplacement:
             assert np.array_equal(alone[0][0], params[i])
             assert np.array_equal(alone[1][0], costs[i])
             assert alone[2][0] == iterations[i]
+
+    @pytest.mark.parametrize(
+        "amplitudes,seed",
+        [([np.exp(0.6j), 3 * np.exp(1.9j)], 2), ([1.0, 1.0], 3), ([3.0, np.exp(0.4j)], 4)],
+    )
+    def test_start_polish_runs_the_solver_policy(self, monkeypatch, amplitudes, seed):
+        # Both Levenberg-Marquardt loops run one policy: every stacked start
+        # ends bit for bit as the one-vector solver ends after as many
+        # iterations, with no convergence test.
+        geometry = paper_geometry()
+        snapshot, _ = synthesize(geometry, SourceScenario([1.2, 1.4], amplitudes, 0.01, seed=seed))
+        fit = _Fit(snapshot.data, geometry, np.radians([1.2, 1.4]))
+        starts = fit.modulus_starts(fit.initial_moduli(), fit.q_grid, 16, pull=False)
+        starts += fit.vernier_starts()
+        params, costs, iterations = fit.polish_starts(starts)
+        cap = shared_displacement._START_ITERATIONS
+        monkeypatch.setattr(shared_displacement, "_START_ITERATIONS", 0)
+        initial = fit.polish_starts(starts)[0]
+        for i, start in enumerate(initial):
+            alone, history, count, _ = levenberg_marquardt(
+                start,
+                lambda p: tuple(part[0] for part in fit._jacobian(p[None])),
+                lambda p: fit._costs(p[None])[0],
+                lambda p: bool(_sines_inside(p[None])[0]),
+                cap,
+                0.0,
+            )
+            assert np.array_equal(alone, params[i])
+            assert history[-1] == costs[i]
+            assert count == iterations[i]
 
     def test_cost_history_and_final_cost(self):
         geometry = self.random_geometry()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcdoa.array_model import MeasurementMatrix
 from pcdoa.correlation import cross_covariance
 from pcdoa.errors import InvalidParameterError, RankDeficiencyError
 from pcdoa.jade import (
@@ -298,6 +299,15 @@ def test_jade_deterministic():
     b = jade_separate(y, 2)
     assert np.array_equal(a.recovered, b.recovered)
     assert np.array_equal(a.diagonalizer.rotation, b.diagonalizer.rotation)
+
+
+def test_jade_takes_a_measurement_matrix():
+    # `bss_mf` and `bss_nls` unwrap a MeasurementMatrix; the separation
+    # used to raise TypeError on one.
+    rng = np.random.default_rng(14)
+    y = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
+    wrapped = jade_separate(MeasurementMatrix(y), 2)
+    assert np.array_equal(wrapped.recovered, jade_separate(y, 2).recovered)
 
 
 # ------------------------------------------------------------------ cost
