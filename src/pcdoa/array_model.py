@@ -31,14 +31,19 @@ __all__ = [
 ]
 
 
+def _frozen(arr):
+    """``arr`` made read-only, for the array fields of frozen records."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_float_array(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-D sequence")
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 @dataclass(frozen=True)
@@ -134,13 +139,14 @@ class SourceScenario:
         if theta.size < 1:
             raise InvalidParameterError("need at least one source")
         if not np.all(np.abs(theta) < 90.0):
-            raise InvalidParameterError("directions must lie strictly inside (-90, 90) degrees")
-        amp = np.asarray(self.amplitudes, dtype=complex)
+            raise InvalidParameterError(
+                f"directions_deg must lie strictly inside (-90, 90) degrees, got {theta.tolist()}"
+            )
+        amp = _frozen(np.asarray(self.amplitudes, dtype=complex))
         if amp.shape != theta.shape:
             raise InvalidParameterError("amplitudes must match directions in length")
         if not np.isfinite(amp).all():
             raise InvalidParameterError("amplitudes must be finite")
-        amp.setflags(write=False)
         if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise InvalidParameterError("noise_variance must be nonnegative")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -151,7 +157,7 @@ class SourceScenario:
                 "directions span both sides of broadside; the single-side "
                 "assumption of the signal model is violated",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
         object.__setattr__(self, "directions_deg", theta)
         object.__setattr__(self, "amplitudes", amp)
@@ -167,8 +173,7 @@ def _frozen_complex_matrix(values, name):
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2:
         raise InvalidParameterError(f"{name} must be a 2-D matrix")
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,8 @@ def build_geometry(
         random layout pins the first subarray at 0 and draws the others
         i.i.d. uniform on [0, aperture].
     subarray_count, elements_per_subarray : int
-        K >= 2 subarrays of M >= 2 elements.
+        K >= 2 subarrays of M >= 2 elements; a count that is not a whole
+        number is refused, not truncated.
     element_spacing : float
         Spacing d between adjacent elements inside one subarray.
     aperture : float
@@ -227,6 +233,11 @@ def build_geometry(
     """
     if layout not in ("equidistant", "uniform_random"):
         raise InvalidParameterError(f"unknown layout {layout!r}")
+    if not all(float(n).is_integer() for n in (subarray_count, elements_per_subarray)):
+        raise InvalidParameterError(
+            f"subarray_count and elements_per_subarray must be whole numbers, got "
+            f"{subarray_count!r} and {elements_per_subarray!r}"
+        )
     k_count = int(subarray_count)
     m_count = int(elements_per_subarray)
     if k_count < 2 or m_count < 2:

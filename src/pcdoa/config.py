@@ -1,22 +1,19 @@
 """Experiment configuration files.
 
 A config is one YAML document with four blocks: `geometry`, `sources`,
-`noise` and `run`. It loads as one `harness.TrialConfig`, which is
-fully validated at load: this module rejects a document of the wrong
-shape (a block that is not a mapping, an unknown key or layout, a value
-that is not a number), so typos fail loudly instead of silently running
-a different experiment, and `TrialConfig` rejects bad values (a geometry
-that `build_geometry` refuses, estimator, sweep axis and values, trial
-count, one amplitude per direction, fewer sources than elements per
-subarray, a finite SNR whose noise variance does not overflow, finite
-directions strictly inside (-90, 90) degrees, finite amplitudes, a grid
-that `estimators.angle_grid` accepts, a separation sweep of exactly
-two sources that keeps sin(theta_2) strictly inside (-1, 1)). Overrides
-go through `TrialConfig.with_overrides`, which validates the same way and
-refuses an `snr_db` override on an SNR sweep. Snapshot files (the CLI's
-`--add`, read by `estimate` and `ingest` only) are not part of a config.
-The packaged `configs/` directory holds one file per reproducible
-figure-style run.
+`noise` and `run`. It loads as one `harness.TrialConfig` and is fully
+validated at load. `parse_config` checks only the YAML shape (a block
+that is not a mapping, an unknown key, a value that is not a number), so
+typos fail loudly instead of silently running a different experiment.
+The values are checked by the objects a run builds, each error raised as
+`ConfigError`: `build_geometry` the geometry ("geometry: ..."),
+`SourceScenario` the sources ("sources: ..."), `estimators.angle_grid`
+the grid ("run.grid: ...") and `TrialConfig` the rest. README's "Config
+format" section lists every rule. Overrides go through
+`TrialConfig.with_overrides`, which validates the same way. Snapshot
+files (the CLI's `--add`, read by `estimate` and `ingest` only) are not
+part of a config. The packaged `configs/` directory holds one file per
+reproducible figure-style run.
 """
 
 from __future__ import annotations
@@ -41,17 +38,14 @@ _SWEEP_KEYS = {"axis", "values"}
 _TOP_KEYS = {"geometry", "sources", "noise", "run"}
 
 
-def _require_mapping(node, where):
+def _mapping(node, allowed, where):
+    """``node`` if it is a mapping with no key outside ``allowed``."""
     if not isinstance(node, dict):
         raise ConfigError(f"'{where}' must be a mapping")
-    return node
-
-
-def _check_keys(node, allowed, where):
     unknown = set(node) - allowed
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{name}' in '{where}'")
+        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in '{where}'")
+    return node
 
 
 def _number(node, key, where, default=None):
@@ -84,21 +78,14 @@ def parse_config(text: str) -> TrialConfig:
         document = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
-    document = _require_mapping(document, "config")
-    _check_keys(document, _TOP_KEYS, "config")
+    document = _mapping(document, _TOP_KEYS, "config")
     for block in ("geometry", "sources", "noise", "run"):
         if block not in document:
             raise ConfigError(f"config is missing the '{block}' block")
 
-    geo = _require_mapping(document["geometry"], "geometry")
-    _check_keys(geo, _GEOMETRY_KEYS, "geometry")
-    layout = geo.get("layout")
-    if layout not in ("equidistant", "uniform_random"):
-        raise ConfigError(
-            f"geometry.layout must be 'equidistant' or 'uniform_random', got {layout!r}"
-        )
+    geo = _mapping(document["geometry"], _GEOMETRY_KEYS, "geometry")
     spec = GeometrySpec(
-        layout=layout,
+        layout=geo.get("layout"),
         subarrays=_integer(geo, "subarrays", "geometry"),
         elements=_integer(geo, "elements", "geometry"),
         spacing=_number(geo, "spacing", "geometry"),
@@ -107,11 +94,10 @@ def parse_config(text: str) -> TrialConfig:
         seed=_integer(geo, "seed", "geometry", default=0),
     )
 
-    sources = _require_mapping(document["sources"], "sources")
-    _check_keys(sources, _SOURCES_KEYS, "sources")
+    sources = _mapping(document["sources"], _SOURCES_KEYS, "sources")
     directions = sources.get("directions_deg")
-    if not isinstance(directions, list) or not directions:
-        raise ConfigError("sources.directions_deg must be a non-empty list")
+    if not isinstance(directions, list):
+        raise ConfigError("sources.directions_deg must be a list")
     for value in directions:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError("sources.directions_deg entries must be numbers")
@@ -121,24 +107,20 @@ def parse_config(text: str) -> TrialConfig:
     amplitudes = []
     for index, entry in enumerate(amplitudes_node):
         where = f"sources.amplitudes[{index}]"
-        entry = _require_mapping(entry, where)
-        _check_keys(entry, _AMPLITUDE_KEYS, where)
+        entry = _mapping(entry, _AMPLITUDE_KEYS, where)
         magnitude = _number(entry, "magnitude", where)
         phase = math.radians(_number(entry, "phase_deg", where))
         if not math.isfinite(phase):  # math.cos raises on an infinite angle
             raise ConfigError(f"'{where}.phase_deg' must be finite")
         amplitudes.append(magnitude * complex(math.cos(phase), math.sin(phase)))
 
-    noise = _require_mapping(document["noise"], "noise")
-    _check_keys(noise, _NOISE_KEYS, "noise")
+    noise = _mapping(document["noise"], _NOISE_KEYS, "noise")
     snr_db = _number(noise, "snr_db", "noise")
 
-    run = _require_mapping(document["run"], "run")
-    _check_keys(run, _RUN_KEYS, "run")
+    run = _mapping(document["run"], _RUN_KEYS, "run")
     grid = None
     if run.get("grid") is not None:
-        grid_node = _require_mapping(run["grid"], "run.grid")
-        _check_keys(grid_node, _GRID_KEYS, "run.grid")
+        grid_node = _mapping(run["grid"], _GRID_KEYS, "run.grid")
         grid = (
             _number(grid_node, "start_deg", "run.grid"),
             _number(grid_node, "stop_deg", "run.grid"),
@@ -147,8 +129,7 @@ def parse_config(text: str) -> TrialConfig:
     sweep_axis = "none"
     sweep_values: Tuple[float, ...] = ()
     if run.get("sweep") is not None:
-        sweep_node = _require_mapping(run["sweep"], "run.sweep")
-        _check_keys(sweep_node, _SWEEP_KEYS, "run.sweep")
+        sweep_node = _mapping(run["sweep"], _SWEEP_KEYS, "run.sweep")
         sweep_axis = sweep_node.get("axis", "none")
         raw_values = sweep_node.get("values", [])
         if raw_values is None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .array_model import _frozen
 from .errors import DegenerateInputError, InvalidParameterError
 
 __all__ = [
@@ -44,9 +45,7 @@ class SourceCrossCovariance:
 
     def __post_init__(self):
         for name in ("matrix", "conjugate_matrix"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=complex)))
 
 
 @dataclass(frozen=True)

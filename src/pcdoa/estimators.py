@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, _steering_derivative, _steering_matrix
+from .array_model import ArrayGeometry, _frozen, _steering_derivative, _steering_matrix
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
@@ -38,11 +38,6 @@ __all__ = [
     "bss_nls",
     "match_sources",
 ]
-
-
-def _frozen(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,13 @@ class DoaEstimate:
                 object.__setattr__(self, name, _frozen(np.asarray(value)))
 
 
-def _fit_inputs(measurements, geometry, offsets, count=None):
+def _fit_inputs(measurements, geometry, offsets, count=None, amplitudes=None):
     """The measurement and offset matrices of a fit, as complex arrays.
 
     Raises ``InvalidParameterError`` unless the measurements are M x K
     for the geometry and the offsets are 2-D with K columns and, when
-    ``count`` directions are given, ``count`` rows.
+    ``count`` directions are given, ``count`` rows and, when
+    ``amplitudes`` are given, ``count`` of them.
     """
     x = np.asarray(getattr(measurements, "data", measurements), dtype=complex)
     phi = np.asarray(getattr(offsets, "offsets", offsets), dtype=complex)
@@ -112,6 +108,8 @@ def _fit_inputs(measurements, geometry, offsets, count=None):
         raise InvalidParameterError("offsets must have one column per subarray")
     if count is not None and phi.shape[0] != count:
         raise InvalidParameterError("offsets must have one row per initial direction")
+    if amplitudes is not None and np.shape(amplitudes) != (count,):
+        raise InvalidParameterError("amplitudes must have one entry per direction")
     return x, phi
 
 
@@ -220,7 +218,7 @@ def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
     offsets held fixed.
     """
     theta = np.radians(np.asarray(directions_deg, dtype=float))
-    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
+    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
     return _cost(x, geometry, phi, theta, np.asarray(amplitudes, dtype=complex))
 
 
@@ -259,7 +257,7 @@ def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
     ``bss_nls`` fits with.
     """
     theta = np.asarray(theta_rad, dtype=float)
-    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
+    x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
     amplitudes = np.asarray(amplitudes, dtype=complex)
     residual, jac = _residual_jacobian(x, geometry, phi, theta, amplitudes)
     gradient = -2.0 * (jac.conj().T @ residual).real

@@ -12,7 +12,6 @@ isolation and the aggregate report does not depend on execution order.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -95,9 +94,14 @@ class TrialConfig:
     resolves one point into its directions and noise variance.
 
     Every instance is validated on construction, whether it comes from a
-    config file, from `with_overrides` or from `dataclasses.replace`; a
-    bad value, including a geometry that does not build or a swept point
-    that `scenario` refuses, raises `ConfigError`.
+    config file, from `with_overrides` or from `dataclasses.replace`, and
+    a bad value raises `ConfigError`. The objects a run builds check their
+    own values: construction builds the geometry and the configured
+    `SourceScenario` and expands the grid, reporting their refusals as
+    "geometry: ...", "sources: ..." and "run.grid: ...", and resolves every
+    sweep point through `scenario`. This class checks the estimator, the
+    sweep axis and values, the trial count, a finite SNR and fewer
+    sources than elements per subarray.
     """
 
     geometry: GeometrySpec
@@ -138,8 +142,6 @@ class TrialConfig:
                 raise ConfigError("sweep_values must be finite")
             if np.any(np.diff(values) < 0):
                 raise ConfigError("sweep_values must be sorted ascending")
-        if len(self.directions_deg) != len(self.amplitudes):
-            raise ConfigError("directions_deg and amplitudes must have equal length")
         if len(self.directions_deg) >= self.geometry.elements:
             raise ConfigError(
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
@@ -147,13 +149,11 @@ class TrialConfig:
             )
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
-        if not all(-90.0 < d < 90.0 for d in self.directions_deg):
-            raise ConfigError(
-                f"directions_deg must lie strictly inside (-90, 90) degrees, got "
-                f"{list(self.directions_deg)}"
-            )
-        if not all(cmath.isfinite(a) for a in self.amplitudes):
-            raise ConfigError("amplitudes must be finite")
+        try:
+            # Noise-free: the noise variance is checked by `scenario` below.
+            SourceScenario(self.directions_deg, self.amplitudes, 0.0)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"sources: {exc}") from None
         if self.grid_deg is not None:
             try:
                 angle_grid(*self.grid_deg)

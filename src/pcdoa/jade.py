@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .array_model import _frozen
 from .errors import InvalidParameterError, RankDeficiencyError
 
 __all__ = [
@@ -40,11 +41,6 @@ __all__ = [
 
 
 _ANGLE_THRESHOLD = 1e-8  # joint_diagonalize skips smaller rotations
-
-
-def _frozen(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,22 @@ def test_build_geometry_validation():
         build_geometry("uniform_random", 4, 4, 0.5, 100.0, 1.0, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(10.7, 4.9), (5.7, 10), (10, 4.5), (float("nan"), 4)],
+    ids=["10.7-4.9", "5.7-10", "10-4.5", "nan-4"],
+)
+def test_build_geometry_refuses_fractional_counts(counts):
+    # int() used to truncate: (10.7, 4.9) built 10 subarrays of 4 elements.
+    with pytest.raises(InvalidParameterError, match="whole numbers"):
+        build_geometry("equidistant", *counts, 0.5, 50.0, 1.0)
+
+
+def test_build_geometry_accepts_whole_float_counts():
+    geo = build_geometry("equidistant", 10.0, 4.0, 0.5, 50.0, 1.0)
+    assert (geo.subarray_count, geo.elements_per_subarray) == (10, 4)
+
+
 def test_geometry_requires_zero_references():
     with pytest.raises(InvalidParameterError):
         ArrayGeometry(1.0, [0.1, 0.5], [0.0, 10.0])
@@ -158,6 +174,13 @@ def test_synthesize_rejects_too_many_sources():
 def test_scenario_warns_on_mixed_sides():
     with pytest.warns(UserWarning):
         SourceScenario([-3.0, 4.0], [1.0, 1.0], 0.0)
+
+
+def test_mixed_sides_warning_names_the_caller():
+    # It used to name the dataclass-generated __init__ ("<string>").
+    with pytest.warns(UserWarning, match="both sides of broadside") as record:
+        SourceScenario([-3.0, 4.0], [1.0, 1.0], 0.0)
+    assert record[0].filename == __file__
 
 
 def test_scenario_rejects_out_of_range_direction():

@@ -40,6 +40,8 @@ EXPERIMENT_EDITS = {
     "nan-grid-step": ("step_deg: 0.05", "step_deg: .nan"),
     "inf-grid-stop": ("stop_deg: 20.0", "stop_deg: .inf"),
     "grid-start-minus-95": ("start_deg: -20.0", "start_deg: -95.0"),
+    "layout-spiral": ("layout: equidistant", "layout: spiral"),
+    "no-directions": ("directions_deg: [0.63, 6.65]", "directions_deg: []"),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -96,7 +97,7 @@ class TestParse:
             parse_config(text)
 
     def test_not_a_mapping(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'config' must be a mapping"):
             parse_config("- just\n- a\n- list\n")
 
     def test_malformed_yaml(self):
@@ -117,8 +118,34 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"'bogus' in '{key}'"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            (MINIMAL + "  grid: {start_deg: 0.0, stop_deg: 16.0, step_deg: 0.5, bogus: 1}\n",
+             "run.grid"),
+            (MINIMAL + "  sweep: {axis: snr, values: [0.0], bogus: 1}\n", "run.sweep"),
+        ],
+        ids=["run.grid", "run.sweep"],
+    )
+    def test_unknown_nested_key_rejected(self, text, where):
+        with pytest.raises(ConfigError, match=rf"unknown key 'bogus' in '{where}'"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            (MINIMAL + "  grid: [0.0, 16.0, 0.5]\n", "run.grid"),
+            (MINIMAL + "  sweep: [0.0, 10.0]\n", "run.sweep"),
+            (MINIMAL.replace("snr_db: 20.0", "- 20.0"), "noise"),
+        ],
+        ids=["run.grid", "run.sweep", "noise"],
+    )
+    def test_block_that_is_not_a_mapping_rejected(self, text, where):
+        with pytest.raises(ConfigError, match=rf"'{where}' must be a mapping"):
+            parse_config(text)
+
     def test_unknown_top_key(self):
-        with pytest.raises(ConfigError, match="bogus"):
+        with pytest.raises(ConfigError, match="unknown key 'bogus' in 'config'"):
             parse_config(MINIMAL + "bogus: 1\n")
 
     def test_unknown_amplitude_key(self):
@@ -170,9 +197,10 @@ class TestParse:
             ("magnitude: 3.0", "magnitude: .inf", "amplitudes"),
             ("magnitude: 3.0", "magnitude: .nan", "amplitudes"),
             ("phase_deg: 90.0", "phase_deg: .inf", "phase_deg"),
+            ("directions_deg: [2.0, 9.0]", "directions_deg: []", "at least one source"),
         ],
         ids=["nan-direction", "inf-direction", "direction-95", "direction-minus-90",
-             "inf-magnitude", "nan-magnitude", "inf-phase"],
+             "inf-magnitude", "nan-magnitude", "inf-phase", "no-directions"],
     )
     def test_bad_sources_rejected(self, old, new, needle):
         # Each used to load, then reach the sidecars as NaN or Infinity or
@@ -219,8 +247,9 @@ class TestParse:
         [
             ("layout: equidistant", "layout: uniform_random\n  seed: -1"),
             ("aperture: 12.0", "aperture: 0.0"),
+            ("layout: equidistant", "layout: spiral"),
         ],
-        ids=["negative-random-seed", "zero-aperture"],
+        ids=["negative-random-seed", "zero-aperture", "unknown-layout"],
     )
     def test_geometry_that_does_not_build_rejected_at_load(self, old, new):
         # Each used to load and fail only when a command built the geometry;
@@ -268,6 +297,43 @@ class TestOverrides:
         cfg = load_packaged_config("fig6a")
         with pytest.raises(ConfigError, match="snr_db"):
             cfg.with_overrides(snr_db=-300.0)
+
+
+class TestReplace:
+    """`dataclasses.replace` validates like a config file."""
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"directions_deg": (), "amplitudes": ()}, "sources: need at least one source"),
+            (
+                {"directions_deg": (95.0, 9.0)},
+                r"sources: directions_deg must lie strictly inside \(-90, 90\) degrees, "
+                r"got \[95.0, 9.0\]",
+            ),
+            ({"amplitudes": (1.0,)}, "sources: amplitudes must match directions in length"),
+        ],
+        ids=["no-sources", "direction-95", "one-amplitude"],
+    )
+    def test_bad_sources(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(parse_config(MINIMAL), **changes)
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"subarrays": 5.7}, "geometry: subarray_count and elements_per_subarray must be whole"),
+            ({"elements": 3.5}, "geometry: subarray_count and elements_per_subarray must be whole"),
+            ({"layout": "spiral"}, "geometry: unknown layout 'spiral'"),
+        ],
+        ids=["fractional-subarrays", "fractional-elements", "unknown-layout"],
+    )
+    def test_bad_geometry(self, changes, message):
+        # A fractional count used to be truncated by the run while the
+        # sidecar recorded the fraction.
+        config = parse_config(MINIMAL)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(config, geometry=dataclasses.replace(config.geometry, **changes))
 
 
 class TestRoundTrip:

@@ -149,7 +149,8 @@ class TestMatchedFilter:
 
     def test_spectra_shape_and_grid(self):
         geometry = small_geometry()
-        scenario = SourceScenario([5.0, -15.0], [1.0, 2.0], 0.0, seed=1)
+        with pytest.warns(UserWarning, match="both sides of broadside"):
+            scenario = SourceScenario([5.0, -15.0], [1.0, 2.0], 0.0, seed=1)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians([5.0, -15.0]))
         result = bss_mf(snapshot.data, geometry, offsets, (-30.0, 30.0, 1.0))
@@ -159,7 +160,8 @@ class TestMatchedFilter:
 
     def test_global_phase_invariance(self):
         geometry = small_geometry()
-        scenario = SourceScenario([5.0, -15.0], [1.0, 2.0], 1e-4, seed=1)
+        with pytest.warns(UserWarning, match="both sides of broadside"):
+            scenario = SourceScenario([5.0, -15.0], [1.0, 2.0], 1e-4, seed=1)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians([5.0, -15.0]))
         rotated = offsets * np.exp(1j * np.array([[0.7], [-2.1]]))
@@ -251,7 +253,8 @@ class TestNlsCost:
         geometry = small_geometry()
         truth = np.array([-10.0, 25.0])
         amps = np.array([1.0 + 0.5j, -0.3 + 2.0j])
-        scenario = SourceScenario(truth, amps, 0.0, seed=4)
+        with pytest.warns(UserWarning, match="both sides of broadside"):
+            scenario = SourceScenario(truth, amps, 0.0, seed=4)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians(truth))
         assert nls_cost(snapshot.data, geometry, offsets, truth, amps) < 1e-20
@@ -288,7 +291,8 @@ class TestGradients:
         geometry = small_geometry()
         truth = np.array([-10.0, 25.0])
         amps = np.array([1.0 + 0.5j, -0.3 + 2.0j])
-        scenario = SourceScenario(truth, amps, 0.0, seed=4)
+        with pytest.warns(UserWarning, match="both sides of broadside"):
+            scenario = SourceScenario(truth, amps, 0.0, seed=4)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians(truth))
         _, g_theta, g_s = nls_cost_gradients(
@@ -342,7 +346,8 @@ class TestNls:
     def test_amplitudes_recovered_noiseless(self, truth, amps, shift):
         geometry = small_geometry()
         truth, amps = np.array(truth), np.array(amps)
-        scenario = SourceScenario(truth, amps, 0.0, seed=6)
+        with pytest.warns(UserWarning, match="both sides of broadside"):
+            scenario = SourceScenario(truth, amps, 0.0, seed=6)
         snapshot, _ = synthesize(geometry, scenario)
         offsets = _offset_matrix(geometry, np.radians(truth))
         result = bss_nls(snapshot.data, geometry, offsets, truth + shift)
@@ -397,6 +402,18 @@ class TestNls:
         for fit in fits:
             with pytest.raises(InvalidParameterError):
                 fit()
+
+    def test_amplitude_count_refused_by_the_cost(self):
+        # Three amplitudes for two directions used to end in numpy's
+        # "operands could not be broadcast together" ValueError.
+        geometry = small_geometry()
+        x = np.ones((4, 6), dtype=complex)
+        offsets = np.ones((2, 6), dtype=complex)
+        directions, amplitudes = np.array([10.0, 10.5]), np.ones(3, dtype=complex)
+        with pytest.raises(InvalidParameterError, match="one entry per direction"):
+            nls_cost(x, geometry, offsets, directions, amplitudes)
+        with pytest.raises(InvalidParameterError, match="one entry per direction"):
+            nls_cost_gradients(x, geometry, offsets, np.radians(directions), amplitudes)
 
     def test_non_finite_cost_is_a_numerical_failure(self):
         for cost in (np.nan, np.inf):
