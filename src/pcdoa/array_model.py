@@ -37,8 +37,16 @@ def _frozen(arr):
     return arr
 
 
+def _numbers(values, dtype, name):
+    """``values`` as an array of ``dtype``; InvalidParameterError if any is not a number."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numbers, got {values!r}") from None
+
+
 def _frozen_float_array(values, name):
-    arr = np.asarray(values, dtype=float)
+    arr = _numbers(values, float, name)
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-D sequence")
     if not np.isfinite(arr).all():
@@ -142,7 +150,7 @@ class SourceScenario:
             raise InvalidParameterError(
                 f"directions_deg must lie strictly inside (-90, 90) degrees, got {theta.tolist()}"
             )
-        amp = _frozen(np.asarray(self.amplitudes, dtype=complex))
+        amp = _frozen(_numbers(self.amplitudes, complex, "amplitudes"))
         if amp.shape != theta.shape:
             raise InvalidParameterError("amplitudes must match directions in length")
         if not np.isfinite(amp).all():

@@ -13,6 +13,7 @@ isolation and the aggregate report does not depend on execution order.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
@@ -100,8 +101,8 @@ class TrialConfig:
     `SourceScenario` and expands the grid, reporting their refusals as
     "geometry: ...", "sources: ..." and "run.grid: ...", and resolves every
     sweep point through `scenario`. This class checks the estimator, the
-    sweep axis and values, the trial count, a finite SNR and fewer
-    sources than elements per subarray.
+    sweep axis and values, whole-number `trials` (at least 1) and
+    `base_seed`, a finite SNR and fewer sources than elements per subarray.
     """
 
     geometry: GeometrySpec
@@ -124,6 +125,11 @@ class TrialConfig:
             raise ConfigError(
                 f"sweep_axis must be 'none', 'snr' or 'separation', got {self.sweep_axis!r}"
             )
+        for name in ("trials", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         try:
@@ -142,6 +148,11 @@ class TrialConfig:
                 raise ConfigError("sweep_values must be finite")
             if np.any(np.diff(values) < 0):
                 raise ConfigError("sweep_values must be sorted ascending")
+        try:
+            # Noise-free: the noise variance is checked by `scenario` below.
+            SourceScenario(self.directions_deg, self.amplitudes, 0.0)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"sources: {exc}") from None
         if len(self.directions_deg) >= self.geometry.elements:
             raise ConfigError(
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
@@ -149,11 +160,6 @@ class TrialConfig:
             )
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
-        try:
-            # Noise-free: the noise variance is checked by `scenario` below.
-            SourceScenario(self.directions_deg, self.amplitudes, 0.0)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"sources: {exc}") from None
         if self.grid_deg is not None:
             try:
                 angle_grid(*self.grid_deg)
@@ -201,21 +207,22 @@ class TrialConfig:
         snr_db: Optional[float] = None,
         estimator: Optional[str] = None,
     ) -> "TrialConfig":
-        """A validated copy with every given (not None) value replaced."""
+        """A validated copy with every given (not None) value replaced;
+        this config itself when no value is given."""
         if snr_db is not None and self.sweep_axis == "snr":
             raise ConfigError(
                 "snr_db cannot be overridden on an SNR sweep: the sweep sets each point's SNR"
             )
         changes = {}
         if seed is not None:
-            changes["base_seed"] = int(seed)
+            changes["base_seed"] = seed
         if trials is not None:
-            changes["trials"] = int(trials)
+            changes["trials"] = trials
         if snr_db is not None:
             changes["snr_db"] = float(snr_db)
         if estimator is not None:
             changes["estimator"] = estimator
-        return replace(self, **changes)
+        return replace(self, **changes) if changes else self
 
     def trial_config(self) -> "TrialConfig":
         """This config itself.

@@ -9,6 +9,7 @@ are written with repr precision so a write / read round trip is exact.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,16 +25,23 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
 
     Integer columns print with `str`; every other column prints each
     value as `repr(float(v))`, so `5` reads `5.0`, and `-0.0`, `nan` and
-    `inf` appear as Python prints them. The text is built in bulk and
-    written in one call.
+    `inf` appear as Python prints them. Each distinct value of a column
+    is formatted once, so a repeated column such as the tiled grid of
+    `spectra.csv` costs one `repr` per grid point. The text is built in
+    bulk and written in one call.
     """
     cells = []
     for column in columns:
         values = np.asarray(column)
-        if values.dtype.kind in "iu":
-            cells.append(map(str, values.tolist()))
-        else:
-            cells.append(map(repr, values.astype(float).tolist()))
+        text = str
+        if values.dtype.kind not in "iu":
+            values, text = values.astype(float), repr
+        # Distinct by bit pattern: -0.0 and 0.0 print differently.
+        _, first, inverse = np.unique(
+            values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
+        )
+        distinct = np.array(list(map(text, values[first].tolist())), dtype=object)
+        cells.append(distinct[inverse].tolist())
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -103,7 +111,7 @@ def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:
                 raise SnapshotFormatError(
                     "real and imag must be numeric", row=row_number
                 ) from None
-            if not (np.isfinite(real) and np.isfinite(imag)):
+            if not (math.isfinite(real) and math.isfinite(imag)):
                 raise SnapshotFormatError(
                     "real and imag must be finite", row=row_number
                 )

@@ -402,10 +402,11 @@ def test_gradients_match_finite_differences():
 
 
 def test_cli_byte_reproducibility(tmp_path):
-    outputs = []
+    # Both runs start at once and are compared after both have finished.
+    runs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
@@ -418,10 +419,15 @@ def test_cli_byte_reproducibility(tmp_path):
                 "--out",
                 str(out),
             ],
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
         )
-        assert proc.returncode == 0, proc.stderr
+        runs.append((out, proc))
+    stderrs = [proc.communicate()[1] for _, proc in runs]
+    outputs = []
+    for (out, proc), stderr in zip(runs, stderrs):
+        assert proc.returncode == 0, stderr
         outputs.append((out / "rmse.csv").read_bytes())
     identical = outputs[0] == outputs[1]
     _report(

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from pcdoa.config import (
@@ -275,7 +276,20 @@ class TestOverrides:
 
     def test_none_means_keep(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.with_overrides() == cfg
+        assert cfg.with_overrides() is cfg
+        assert cfg.with_overrides(seed=None, trials=None, snr_db=None, estimator=None) is cfg
+
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=repr)
+    def test_non_integer_count_override_refused(self, field, value):
+        # `trials=2.5` used to be truncated to 2.
+        with pytest.raises(ConfigError, match="must be an integer"):
+            parse_config(MINIMAL).with_overrides(**{field: value})
+
+    def test_numpy_integer_overrides_become_ints(self):
+        out = parse_config(MINIMAL).with_overrides(seed=np.uint64(2**64 - 1), trials=np.int32(3))
+        assert (out.base_seed, out.trials) == (2**64 - 1, 3)
+        assert type(out.base_seed) is int and type(out.trials) is int
 
     def test_bad_estimator_override(self):
         cfg = parse_config(MINIMAL)
@@ -312,12 +326,33 @@ class TestReplace:
                 r"got \[95.0, 9.0\]",
             ),
             ({"amplitudes": (1.0,)}, "sources: amplitudes must match directions in length"),
+            # These used to end in numpy's bare ValueError.
+            ({"amplitudes": ("a", "b")}, r"sources: amplitudes must be numbers, got \('a', 'b'\)"),
+            (
+                {"directions_deg": ("a", 1.0)},
+                r"sources: directions_deg must be numbers, got \('a', 1.0\)",
+            ),
+            ({"directions_deg": 5.0}, "sources: directions_deg must be a 1-D sequence"),
         ],
-        ids=["no-sources", "direction-95", "one-amplitude"],
+        ids=[
+            "no-sources",
+            "direction-95",
+            "one-amplitude",
+            "text-amplitudes",
+            "text-direction",
+            "scalar-direction",
+        ],
     )
     def test_bad_sources(self, changes, message):
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(parse_config(MINIMAL), **changes)
+
+    @pytest.mark.parametrize("field", ["base_seed", "trials"])
+    @pytest.mark.parametrize("value", [2.5, True, None], ids=repr)
+    def test_non_integer_counts(self, field, value):
+        # `trials=2.5` used to fail only inside `monte_carlo`, with a bare TypeError.
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            dataclasses.replace(parse_config(MINIMAL), **{field: value})
 
     @pytest.mark.parametrize(
         "changes,message",

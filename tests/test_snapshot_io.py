@@ -118,6 +118,50 @@ class TestCsvFormat:
         assert back.read_bytes() == source.read_bytes()
 
 
+class TestRepeatedValues:
+    """Each distinct value is formatted once and every cell prints as per-cell `repr` / `str`."""
+
+    COLUMNS = {
+        "signed-zeros": np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5]),
+        "nan-inf": np.array([np.nan, np.inf, -np.inf, np.nan, np.inf, -np.nan]),
+        "float32": np.array([0.1, -0.0, 5.0, 0.1, 0.0, 5.0], dtype=np.float32),
+        "uint64": np.array([2**64 - 1, 2**63, 1, 2**64 - 1, 1, 0], dtype=np.uint64),
+        "int64": np.array([-(2**63), -1, 0, -1, -(2**63), 7]),
+        "int32": np.array([3, -4, 3, -4, 3, 5], dtype=np.int32),
+    }
+
+    @staticmethod
+    def per_cell(column):
+        if column.dtype.kind in "iu":
+            return [str(int(v)) for v in column]
+        return [repr(float(v)) for v in column]
+
+    def test_cells_match_per_cell_formatting(self, tmp_path):
+        columns = list(self.COLUMNS.values())
+        expected = ",".join(self.COLUMNS) + "\n" + "".join(
+            ",".join(row) + "\n" for row in zip(*map(self.per_cell, columns))
+        )
+        path = tmp_path / "table.csv"
+        write_csv(path, list(self.COLUMNS), columns)
+        assert path.read_bytes() == expected.encode()
+        text = path.read_text()
+        assert "0.0,nan,0.10000000149011612,18446744073709551615" in text
+        assert "-0.0,inf,-0.0,9223372036854775808" in text
+
+    def test_strided_and_tiled_columns(self, tmp_path):
+        grid = np.linspace(-20.0, 20.0, 9)
+        table = np.arange(16).reshape(4, 4)
+        path = tmp_path / "table.csv"
+        write_csv(path, ["theta", "column", "row"], [np.tile(grid, 2)[7:11], table.T[1], table[1]])
+        assert path.read_text().splitlines() == [
+            "theta,column,row",
+            "15.0,1,4",
+            "20.0,5,5",
+            "-20.0,9,6",
+            "-15.0,13,7",
+        ]
+
+
 class TestIngestValidation:
     def write(self, tmp_path, text):
         path = tmp_path / "bad.csv"
