@@ -14,4 +14,7 @@ python -m pcdoa.cli synth --config fig5a --out "$out/synth"
 # From inside the run directory, so the sidecar's `inputs` path is the same in every run.
 (cd "$out" && python -m pcdoa.cli ingest --config fig5a --add synth/snapshot.csv --out ingest)
 python -m pcdoa.cli orthogonality --config fig3 --trials 2 --out "$out/orthogonality"
+# fig4 is the random-layout sweep; with fig3 it covers both configs the
+# separation_sweep benchmark workload times.
+python -m pcdoa.cli orthogonality --config fig4 --trials 2 --out "$out/orthogonality_b"
 python -m pcdoa.cli estimate --config experiment --estimator bss_mf --out "$out/estimate_mf"

@@ -38,9 +38,10 @@ def _frozen(arr):
 
 
 def _numbers(values, dtype, name):
-    """``values`` as an array of ``dtype``; InvalidParameterError if any is not a number."""
+    """``values`` as a new array of ``dtype``, so freezing it leaves the
+    caller's array writable; InvalidParameterError if any is not a number."""
     try:
-        return np.asarray(values, dtype=dtype)
+        return np.array(values, dtype=dtype)
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{name} must be numbers, got {values!r}") from None
 
@@ -146,7 +147,7 @@ class SourceScenario:
         theta = _frozen_float_array(self.directions_deg, "directions_deg")
         if theta.size < 1:
             raise InvalidParameterError("need at least one source")
-        if not np.all(np.abs(theta) < 90.0):
+        if not (np.abs(theta) < 90.0).all():
             raise InvalidParameterError(
                 f"directions_deg must lie strictly inside (-90, 90) degrees, got {theta.tolist()}"
             )
@@ -159,7 +160,7 @@ class SourceScenario:
             raise InvalidParameterError("noise_variance must be nonnegative")
         if int(self.seed) != self.seed or self.seed < 0:
             raise InvalidParameterError("seed must be a nonnegative integer")
-        if np.any(theta > 0) and np.any(theta < 0):
+        if (theta > 0).any() and (theta < 0).any():
             # The model assumes all sources on one side of broadside.
             warnings.warn(
                 "directions span both sides of broadside; the single-side "
@@ -178,7 +179,7 @@ class SourceScenario:
 
 
 def _frozen_complex_matrix(values, name):
-    arr = np.asarray(values, dtype=complex)
+    arr = np.array(values, dtype=complex)
     if arr.ndim != 2:
         raise InvalidParameterError(f"{name} must be a 2-D matrix")
     return _frozen(arr)
@@ -305,17 +306,6 @@ def _steering_matrix(geometry, theta_rad):
     return np.exp(
         1j * wavenumber * geometry.intra_displacements[:, None] * np.sin(theta_rad)[None, :]
     )
-
-
-def _steering_derivative(geometry, theta_rad, b=None):
-    """Entrywise d/d theta of the steering matrix ``b`` (computed when not
-    given), theta in radians."""
-    theta_rad = np.atleast_1d(np.asarray(theta_rad, dtype=float))
-    wavenumber = 2.0 * np.pi / geometry.wavelength
-    if b is None:
-        b = _steering_matrix(geometry, theta_rad)
-    scale = 1j * wavenumber * geometry.intra_displacements[:, None] * np.cos(theta_rad)[None, :]
-    return scale * b
 
 
 def _offset_matrix(geometry, theta_rad):

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, _frozen, _steering_derivative, _steering_matrix
+from .array_model import ArrayGeometry, _frozen, _steering_matrix
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
@@ -81,9 +82,9 @@ class DoaEstimate:
 
     def __post_init__(self):
         theta = np.asarray(self.directions_deg, dtype=float)
-        if not np.all(np.abs(theta) < 90.0):
+        if not (np.abs(theta) < 90.0).all():
             raise DomainError("estimated directions left the (-90, 90) degree domain")
-        if not np.isfinite(self.final_cost):
+        if not math.isfinite(self.final_cost):
             raise DomainError("final cost must be finite")
         object.__setattr__(self, "directions_deg", _frozen(theta))
         for name in ("amplitudes", "spectra", "grid_deg"):
@@ -219,31 +220,62 @@ def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
     """
     theta = np.radians(np.asarray(directions_deg, dtype=float))
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
-    return _cost(x, geometry, phi, theta, np.asarray(amplitudes, dtype=complex))
+    return _FixedOffsetModel(x, geometry, phi).cost(_pack(theta, amplitudes))
 
 
-def _cost(x, geometry, phi, theta_rad, amplitudes):
-    residual = x - _steering_matrix(geometry, theta_rad) @ (phi * amplitudes[:, None])
-    return float(np.sum(np.abs(residual) ** 2))
-
-
-def _residual_jacobian(x, geometry, phi, theta_rad, amplitudes):
-    """Fixed-offset residual x - B(theta) (Phi * s), flattened, and the
-    model's Jacobian in the parameters (theta, Re s, Im s)."""
-    steering = _steering_matrix(geometry, theta_rad)
-    columns = steering[:, :, None] * phi
-    slopes = _steering_derivative(geometry, theta_rad, steering)[:, :, None] * (
-        phi * amplitudes[:, None]
-    )
-    residual = x - np.einsum("mlk,l->mk", columns, amplitudes)
-    jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
-    return residual.reshape(-1), np.swapaxes(jac, 1, 2).reshape(residual.size, -1)
+def _pack(theta_rad, amplitudes):
+    """The fit's parameter vector (theta, Re s, Im s)."""
+    s = np.asarray(amplitudes, dtype=complex)
+    return np.concatenate([np.ravel(theta_rad), s.real, s.imag])
 
 
 def _split(params):
     """Radian directions and complex amplitudes of (theta, Re s, Im s)."""
     count = params.size // 3
     return params[:count], params[count : 2 * count] + 1j * params[2 * count :]
+
+
+class _FixedOffsetModel:
+    """B(theta) (Phi * s) fitted to one measurement matrix.  The methods
+    take the parameters (theta, Re s, Im s); the steering matrix of the
+    last theta is kept, so each distinct theta builds one."""
+
+    def __init__(self, x, geometry, phi):
+        self.x, self.phi, self.key = x, phi, None
+        wavenumber = 2.0 * np.pi / geometry.wavelength
+        self.phase = 1j * wavenumber * geometry.intra_displacements[:, None]
+
+    def steering(self, theta_rad):
+        if theta_rad.tobytes() != self.key:
+            self.key = theta_rad.tobytes()
+            self.matrix = np.exp(self.phase * np.sin(theta_rad)[None, :])
+        return self.matrix
+
+    def start(self, theta_rad):
+        """Parameters at theta with the closed-form least-squares amplitudes."""
+        steering = self.steering(theta_rad)
+        adjoint = steering.conj().T
+        gram = (adjoint @ steering) * (self.phi.conj() @ self.phi.T)
+        return _pack(theta_rad, _solve(gram, (self.phi.conj() * (adjoint @ self.x)).sum(axis=1)))
+
+    def cost(self, params):
+        theta, s = _split(params)
+        residual = self.x - self.steering(theta) @ (self.phi * s[:, None])
+        return float((np.abs(residual) ** 2).sum())
+
+    def residual_jacobian(self, params):
+        """Residual x - B(theta) (Phi * s), flattened, and its model's Jacobian."""
+        theta, s = _split(params)
+        steering = self.steering(theta)
+        columns = steering[:, :, None] * self.phi
+        derivative = self.phase * np.cos(theta)[None, :] * steering
+        slopes = derivative[:, :, None] * (self.phi * s[:, None])
+        residual = self.x - np.einsum("mlk,l->mk", columns, s)
+        jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
+        return residual.reshape(-1), np.swapaxes(jac, 1, 2).reshape(residual.size, -1)
+
+    def inside(self, params):
+        return bool((np.abs(params[: params.size // 3]) < np.pi / 2).all())
 
 
 def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
@@ -258,11 +290,11 @@ def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
     """
     theta = np.asarray(theta_rad, dtype=float)
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    residual, jac = _residual_jacobian(x, geometry, phi, theta, amplitudes)
+    model = _FixedOffsetModel(x, geometry, phi)
+    residual, jac = model.residual_jacobian(_pack(theta, amplitudes))
     gradient = -2.0 * (jac.conj().T @ residual).real
     grad_theta, grad_s = _split(gradient)
-    return float(np.sum(np.abs(residual) ** 2)), grad_theta, grad_s
+    return float((np.abs(residual) ** 2).sum()), grad_theta, grad_s
 
 
 def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations=500):
@@ -282,7 +314,8 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
     - Every other set of directions keeps the separated offsets fixed and
       fits C(theta, s) in (theta, Re s, Im s), starting from the
       least-squares amplitudes at the starting directions; the solver
-      calls the fit's cost and Jacobian directly.
+      calls the fit's cost and Jacobian directly, building one steering
+      matrix per direction pair it evaluates.
 
     ``max_iterations`` caps the final Levenberg-Marquardt run, which also
     ends when an accepted step lowers the cost by a relative 1e-10 or
@@ -291,7 +324,7 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
     model that was fitted; accepted costs never increase.
     """
     theta = np.radians(np.asarray(init_directions_deg, dtype=float))
-    if not np.all(np.abs(theta) < np.pi / 2):
+    if not (np.abs(theta) < np.pi / 2).all():
         raise DomainError("initial directions must lie strictly inside (-90, 90) degrees")
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
 
@@ -300,13 +333,9 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
             x, geometry, theta, max_iterations
         )
     else:
-        s = _least_squares_amplitudes(x, geometry, phi, theta)
+        model = _FixedOffsetModel(x, geometry, phi)
         params, history, iterations, reason = levenberg_marquardt(
-            np.concatenate([theta, s.real, s.imag]),
-            lambda p: _residual_jacobian(x, geometry, phi, *_split(p)),
-            lambda p: _cost(x, geometry, phi, *_split(p)),
-            lambda p: bool(np.all(np.abs(p[: theta.size]) < np.pi / 2)),
-            max_iterations,
+            model.start(theta), model.residual_jacobian, model.cost, model.inside, max_iterations
         )
         theta, s = _split(params)
     return DoaEstimate(
@@ -319,13 +348,6 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
         cost_history=tuple(float(cost) for cost in history),
         stop_reason=reason,
     )
-
-
-def _least_squares_amplitudes(x, geometry, phi, theta_rad):
-    """Closed-form amplitude fit for fixed directions and offsets."""
-    steering = _steering_matrix(geometry, theta_rad)
-    gram = (steering.conj().T @ steering) * (phi.conj() @ phi.T)
-    return _solve(gram, np.sum(phi.conj() * (steering.conj().T @ x), axis=1))
 
 
 def match_sources(estimates_deg, truths_deg):
@@ -344,7 +366,7 @@ def match_sources(estimates_deg, truths_deg):
     best = None
     best_error = np.inf
     for perm in itertools.permutations(range(estimates.size)):
-        error = float(np.sum((estimates[list(perm)] - truths) ** 2))
+        error = float(((estimates[list(perm)] - truths) ** 2).sum())
         if error < best_error:
             best = perm
             best_error = error

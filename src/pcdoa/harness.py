@@ -369,22 +369,13 @@ def run_trial(
 def rmse_deg(results: Sequence[TrialResult]) -> float:
     """RMSE over successful trials: sqrt(mean of squared direction-vector errors)."""
     squares = [
-        float(np.sum((r.directions_deg - r.truth_deg) ** 2))
+        float(((r.directions_deg - r.truth_deg) ** 2).sum())
         for r in results
         if not r.failed
     ]
     if not squares:
         return float("nan")
     return math.sqrt(sum(squares) / len(squares))
-
-
-def _resolved(result: TrialResult, geometry: ArrayGeometry) -> bool:
-    if result.failed:
-        return False
-    est = np.sin(np.radians(result.directions_deg))
-    ref = np.sin(np.radians(result.truth_deg))
-    # Half a resolution cell, applied in sin space where the cell is uniform.
-    return bool(np.all(np.abs(est - ref) <= geometry.resolution / 2.0))
 
 
 def monte_carlo(config: TrialConfig) -> MonteCarloReport:
@@ -396,6 +387,8 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
     where every trial failed carries NaN statistics and trials_ok = 0.
     """
     geometry = config.geometry.build()
+    # Half a resolution cell, applied in sin space where the cell is uniform.
+    radius = geometry.resolution / 2.0
     points = []
     # Unswept, the one point is reported at the SNR, which `scenario` ignores.
     for sweep_index, sweep_value in enumerate(config.sweep_values or (config.snr_db,)):
@@ -404,19 +397,18 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
             for t in range(config.trials)
         ]
         ok = [r for r in results if not r.failed]
-        resolve = (
-            sum(_resolved(r, geometry) for r in ok) / len(ok) if ok else float("nan")
-        )
         estimates = (
             np.array([r.directions_deg for r in ok])
             if ok
             else np.empty((0, len(config.directions_deg)))
         )
+        truth = np.sin(np.radians(config.scenario(sweep_value)[0]))
+        resolved = (np.abs(np.sin(np.radians(estimates)) - truth) <= radius).all(axis=1)
         points.append(
             SweepPointReport(
                 sweep_value=sweep_value,
                 rmse_deg=rmse_deg(results),
-                resolve_rate=resolve,
+                resolve_rate=float(resolved.mean()) if ok else float("nan"),
                 trials_ok=len(ok),
                 trials_failed=len(results) - len(ok),
                 failures=Counter(r.error.split(":", 1)[0] for r in results if r.failed),

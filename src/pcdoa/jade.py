@@ -19,6 +19,7 @@ Stages, each exposed on its own:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +140,15 @@ def estimate_whitener(measurements, n_sources):
     cov = y @ y.conj().T / n_samples
     values, vectors = np.linalg.eigh(cov)
     values, vectors = values[::-1], vectors[:, ::-1]
-    noise = max(float(np.mean(values[n_src:])), 0.0)
+    noise = max(float(values[n_src:].mean()), 0.0)
     gaps = values[:n_src] - noise
-    for index, gap in enumerate(gaps):
-        if gap <= 0:
-            raise RankDeficiencyError(
-                index + 1,
-                f"signal eigenvalue {index + 1} ({values[index]:.3e}) does not "
-                f"exceed the noise estimate {noise:.3e}",
-            )
+    if (gaps <= 0).any():
+        index = int((gaps <= 0).argmax())
+        raise RankDeficiencyError(
+            index + 1,
+            f"signal eigenvalue {index + 1} ({values[index]:.3e}) does not "
+            f"exceed the noise estimate {noise:.3e}",
+        )
     whitener = (gaps**-0.5)[:, None] * vectors[:, :n_src].conj().T
     return WhiteningResult(
         whitener=whitener,
@@ -228,10 +229,7 @@ def cumulant_matrix_set(whitened):
 
 
 def _off_diagonal_energy(stack):
-    energy = 0.0
-    for matrix in stack:
-        energy += float(np.sum(np.abs(matrix) ** 2) - np.sum(np.abs(np.diag(matrix)) ** 2))
-    return energy
+    return sum(float((np.abs(m) ** 2).sum() - (np.abs(m.diagonal()) ** 2).sum()) for m in stack)
 
 
 def joint_diagonalize(matrix_set, max_sweeps=100):
@@ -251,36 +249,31 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
     if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
         raise InvalidParameterError("need a nonempty set of square matrices of one size")
     size = stack.shape[1]
+    planes = list(itertools.combinations(range(size), 2))
+    rows = np.empty((stack.shape[0], 3), dtype=complex)  # O of the current plane
     rotation = np.eye(size, dtype=complex)
     sweeps_done = 0
     for _ in range(int(max_sweeps)):
         rotated = False
-        for m in range(size - 1):
-            for n in range(m + 1, size):
-                rows = np.stack(
-                    [
-                        stack[:, m, m] - stack[:, n, n],
-                        stack[:, m, n] + stack[:, n, m],
-                        1j * (stack[:, n, m] - stack[:, m, n]),
-                    ],
-                    axis=1,
-                )
-                target = np.real(rows.conj().T @ rows)
-                direction = np.linalg.eigh(target)[1][:, -1]
-                if direction[0] < 0:
-                    direction = -direction
-                alpha = np.sqrt((1.0 + direction[0]) / 2.0)
-                beta = (direction[1] - 1j * direction[2]) / (2.0 * alpha)
-                if abs(beta) <= _ANGLE_THRESHOLD:
-                    continue
-                rotated = True
-                givens = np.eye(size, dtype=complex)
-                givens[m, m] = alpha
-                givens[n, n] = alpha
-                givens[n, m] = beta
-                givens[m, n] = -np.conj(beta)
-                stack = givens.conj().T @ stack @ givens
-                rotation = rotation @ givens
+        for m, n in planes:
+            np.subtract(stack[:, m, m], stack[:, n, n], out=rows[:, 0])
+            np.add(stack[:, m, n], stack[:, n, m], out=rows[:, 1])
+            rows[:, 2] = 1j * (stack[:, n, m] - stack[:, m, n])
+            direction = np.linalg.eigh((rows.conj().T @ rows).real)[1][:, -1]
+            if direction[0] < 0:
+                direction = -direction
+            alpha = np.sqrt((1.0 + direction[0]) / 2.0)
+            beta = (direction[1] - 1j * direction[2]) / (2.0 * alpha)
+            if abs(beta) <= _ANGLE_THRESHOLD:
+                continue
+            rotated = True
+            givens = np.eye(size, dtype=complex)
+            givens[m, m] = alpha
+            givens[n, n] = alpha
+            givens[n, m] = beta
+            givens[m, n] = -np.conj(beta)
+            stack = givens.conj().T @ stack @ givens
+            rotation = rotation @ givens
         sweeps_done += 1
         if not rotated:
             break

@@ -8,7 +8,9 @@ import pytest
 
 from pcdoa.array_model import (
     ArrayGeometry,
+    MeasurementMatrix,
     SourceScenario,
+    SourceSignalMatrix,
     build_geometry,
     phase_offset,
     steering_vector,
@@ -198,3 +200,27 @@ def test_noise_variance_scaling():
     n = x.data.ravel()
     assert np.mean(np.abs(n) ** 2) == pytest.approx(4.0, rel=0.15)
     assert np.mean(n.real**2) == pytest.approx(2.0, rel=0.2)
+
+
+@pytest.mark.parametrize(
+    "build,field,values",
+    [
+        (lambda a: ArrayGeometry(1.0, a, [0.0, 5.0]), "intra_displacements", [0.0, 1.5]),
+        (lambda a: ArrayGeometry(1.0, [0.0, 0.5], a), "inter_displacements", [0.0, 1.5]),
+        (lambda a: SourceScenario(a, [1.0, 2.0], 0.1), "directions_deg", [0.0, 1.5]),
+        (lambda a: SourceScenario([1.0, 2.0], a, 0.1), "amplitudes", [0j, 1.5 + 0j]),
+        (MeasurementMatrix, "data", [[0j, 1.5 + 0j]]),
+        (SourceSignalMatrix, "data", [[0j], [1.5 + 0j]]),
+    ],
+    ids=["eta", "xi", "directions", "amplitudes", "measurements", "source-rows"],
+)
+def test_records_copy_the_callers_array(build, field, values):
+    # Each record freezes its own copy of an array already of its dtype;
+    # the caller's array stays writable and unchanged by the record.
+    mine = np.array(values)
+    record = build(mine)
+    mine.ravel()[1] = 2.5
+    assert mine.flags.writeable
+    stored = getattr(record, field)
+    assert not stored.flags.writeable
+    assert stored.ravel()[1] == 1.5

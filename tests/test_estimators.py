@@ -5,7 +5,6 @@ from pcdoa import shared_displacement
 from pcdoa.array_model import (
     SourceScenario,
     _offset_matrix,
-    _steering_derivative,
     _steering_matrix,
     build_geometry,
     synthesize,
@@ -13,8 +12,9 @@ from pcdoa.array_model import (
 from pcdoa.errors import DomainError, InvalidParameterError
 from pcdoa.estimators import (
     DoaEstimate,
+    _FixedOffsetModel,
     _grid_steering,
-    _residual_jacobian,
+    _pack,
     _source_columns,
     angle_grid,
     bss_mf,
@@ -481,19 +481,49 @@ class TestEndToEnd:
         assert np.max(np.abs(aligned - truth)) < 0.2
 
     def test_residual_jacobian_matches_separate_steering_calls(self):
-        # The Jacobian reuses the steering matrix of the residual for the
-        # slopes; the reference builds both from separate calls.
+        # The model kernel reuses one steering matrix for the residual and
+        # the slopes; the reference builds the matrix and its derivative
+        # from their formulas.
         snapshot, geometry, offsets, mf = noisy_pair([1.2, 14.2], (0.0, 16.0, 0.01), 3)
         x, phi = snapshot.data, offsets.offsets
         theta = np.radians(mf.directions_deg) + np.array([1e-4, -2e-4])
         s = np.array([0.8 + 0.6j, -1.1 + 2.7j])
-        columns = _steering_matrix(geometry, theta)[:, :, None] * phi
-        slopes = _steering_derivative(geometry, theta)[:, :, None] * (phi * s[:, None])
+        steering = _steering_matrix(geometry, theta)
+        wavenumber = 2.0 * np.pi / geometry.wavelength
+        derivative = (
+            1j * wavenumber * geometry.intra_displacements[:, None] * np.cos(theta)[None, :]
+        ) * steering
+        columns = steering[:, :, None] * phi
+        slopes = derivative[:, :, None] * (phi * s[:, None])
         residual = x - np.einsum("mlk,l->mk", columns, s)
         jac = np.concatenate([slopes, columns, 1j * columns], axis=1)
-        got_residual, got_jac = _residual_jacobian(x, geometry, phi, theta, s)
+        model = _FixedOffsetModel(x, geometry, phi)
+        got_residual, got_jac = model.residual_jacobian(_pack(theta, s))
         assert np.array_equal(got_residual, residual.reshape(-1))
         assert np.array_equal(got_jac, np.swapaxes(jac, 1, 2).reshape(residual.size, -1))
+        assert model.cost(_pack(theta, s)) == float(np.sum(np.abs(residual) ** 2))
+
+    @pytest.mark.parametrize("truth", [[1.2, 14.2], [1.2, 8.0]])
+    def test_one_steering_matrix_per_evaluated_direction_set(self, truth, monkeypatch):
+        # Every steering matrix the fixed-offset fit builds is an exp of
+        # its exponent; counted over one bss_nls call, no exponent repeats,
+        # so the start amplitudes, the costs and the Jacobians at one set
+        # of directions share a single matrix.
+        snapshot, geometry, offsets, mf = noisy_pair(truth, (0.0, 16.0, 0.01), 3)
+        assert not unresolved_pair(geometry, np.radians(mf.directions_deg))
+        exponents = []
+        exp = np.exp
+
+        def counting_exp(value, *args, **kwargs):
+            if np.shape(value) == (geometry.elements_per_subarray, 2):
+                exponents.append(np.asarray(value).tobytes())
+            return exp(value, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        result = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg)
+        monkeypatch.undo()
+        assert len(exponents) == len(set(exponents))
+        assert len(exponents) >= len(result.cost_history)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_pair_noisy_nls_converges(self, seed):

@@ -261,6 +261,67 @@ def test_joint_diagonalize_off_energy_never_increases_with_sweeps():
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
+def _reference_joint_diagonalize(matrices, max_sweeps=100):
+    """The rotation loop as first written: one ``np.stack`` of the plane
+    statistics per (m, n) plane; (rotation, off-diagonal energy, sweeps)."""
+    stack = np.array([np.asarray(m, dtype=complex) for m in matrices])
+    size = stack.shape[1]
+    rotation = np.eye(size, dtype=complex)
+    sweeps_done = 0
+    for _ in range(max_sweeps):
+        rotated = False
+        for m in range(size - 1):
+            for n in range(m + 1, size):
+                rows = np.stack(
+                    [
+                        stack[:, m, m] - stack[:, n, n],
+                        stack[:, m, n] + stack[:, n, m],
+                        1j * (stack[:, n, m] - stack[:, m, n]),
+                    ],
+                    axis=1,
+                )
+                target = np.real(rows.conj().T @ rows)
+                direction = np.linalg.eigh(target)[1][:, -1]
+                if direction[0] < 0:
+                    direction = -direction
+                alpha = np.sqrt((1.0 + direction[0]) / 2.0)
+                beta = (direction[1] - 1j * direction[2]) / (2.0 * alpha)
+                if abs(beta) <= 1e-8:
+                    continue
+                rotated = True
+                givens = np.eye(size, dtype=complex)
+                givens[m, m] = alpha
+                givens[n, n] = alpha
+                givens[n, m] = beta
+                givens[m, n] = -np.conj(beta)
+                stack = givens.conj().T @ stack @ givens
+                rotation = rotation @ givens
+        sweeps_done += 1
+        if not rotated:
+            break
+    energy = 0.0
+    for matrix in stack:
+        energy += float(np.sum(np.abs(matrix) ** 2) - np.sum(np.abs(np.diag(matrix)) ** 2))
+    return rotation, energy, sweeps_done
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_joint_diagonalize_matches_reference_loop_bit_for_bit(size, seed):
+    rng = np.random.default_rng(100 * size + seed)
+    mats = [
+        rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        for _ in range(size)
+    ]
+    mats = [(m + m.conj().T) / 2 for m in mats]
+    rotation, energy, sweeps = _reference_joint_diagonalize(mats)
+    got = joint_diagonalize(mats)
+    assert got.rotation.tobytes() == rotation.tobytes()
+    assert got.off_diagonal_energy == energy
+    assert got.sweeps == sweeps
+    assert sweeps > 1
+
+
 def test_joint_diagonalize_shape_guard():
     with pytest.raises(InvalidParameterError):
         joint_diagonalize([np.ones((2, 3))])
