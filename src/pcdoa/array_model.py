@@ -8,6 +8,15 @@ Each subarray contributes a single temporal snapshot, and the K snapshots
 are stacked column-wise into an M x K measurement matrix.
 
 Angles are degrees at every public interface and radians internally.
+
+Arrays cross every boundary of the pipeline by one rule, written once
+here. A frozen record keeps a read-only copy of each array field
+(`_frozen`, applied field by field by `_freeze`), so the caller's array
+stays writable and nothing the caller does changes the record. A stage
+reads its input matrix through `_matrix`, from a record's field or a bare
+array, as a nonempty 2-D complex matrix. Entries that are not numbers,
+ragged input, the wrong rank and empty input all raise
+`InvalidParameterError`.
 """
 
 from __future__ import annotations
@@ -31,28 +40,45 @@ __all__ = [
 ]
 
 
-def _frozen(arr):
-    """``arr`` made read-only, for the array fields of frozen records."""
+def _frozen(values, dtype, name):
+    """A read-only copy of ``values`` as ``dtype``, so the record owns it and
+    the caller's array stays writable; InvalidParameterError if any entry is
+    not a number or the entries do not form a regular array."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numbers, got {values!r}") from None
     arr.setflags(write=False)
     return arr
 
 
-def _numbers(values, dtype, name):
-    """``values`` as a new array of ``dtype``, so freezing it leaves the
-    caller's array writable; InvalidParameterError if any is not a number."""
-    try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be numbers, got {values!r}") from None
+def _freeze(record, **dtypes):
+    """Replace each named field of a frozen record that is not None by its
+    `_frozen` copy of the given dtype."""
+    for name, dtype in dtypes.items():
+        value = getattr(record, name)
+        if value is not None:
+            object.__setattr__(record, name, _frozen(value, dtype, name))
+
+
+def _matrix(value, name, field="data"):
+    """The ``field`` of a record, or ``value`` itself, as a `_frozen`
+    nonempty 2-D complex matrix; InvalidParameterError otherwise."""
+    if not isinstance(value, np.ndarray):  # an ndarray's own `data` is its buffer
+        value = getattr(value, field, value)
+    arr = _frozen(value, complex, name)
+    if arr.ndim != 2 or arr.size == 0:
+        raise InvalidParameterError(f"{name} must form a nonempty 2-D matrix")
+    return arr
 
 
 def _frozen_float_array(values, name):
-    arr = _numbers(values, float, name)
+    arr = _frozen(values, float, name)
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-D sequence")
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
-    return _frozen(arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -151,7 +177,7 @@ class SourceScenario:
             raise InvalidParameterError(
                 f"directions_deg must lie strictly inside (-90, 90) degrees, got {theta.tolist()}"
             )
-        amp = _frozen(_numbers(self.amplitudes, complex, "amplitudes"))
+        amp = _frozen(self.amplitudes, complex, "amplitudes")
         if amp.shape != theta.shape:
             raise InvalidParameterError("amplitudes must match directions in length")
         if not np.isfinite(amp).all():
@@ -178,13 +204,6 @@ class SourceScenario:
         return self.directions_deg.size
 
 
-def _frozen_complex_matrix(values, name):
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 2:
-        raise InvalidParameterError(f"{name} must be a 2-D matrix")
-    return _frozen(arr)
-
-
 @dataclass(frozen=True)
 class MeasurementMatrix:
     """Stacked single snapshots; column k holds the snapshot of subarray k."""
@@ -192,7 +211,7 @@ class MeasurementMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_complex_matrix(self.data, "data"))
+        object.__setattr__(self, "data", _matrix(self.data, "data"))
 
 
 @dataclass(frozen=True)
@@ -202,7 +221,7 @@ class SourceSignalMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_complex_matrix(self.data, "data"))
+        object.__setattr__(self, "data", _matrix(self.data, "data"))
 
 
 def build_geometry(

@@ -70,6 +70,20 @@ def _integer(node, key, where, default=None):
     return value
 
 
+def _number_list(node, key, where, empty=False):
+    """``node[key]``, a list of numbers, as floats; a missing or null list is
+    ``()`` when ``empty`` allows it."""
+    values = node.get(key)
+    if values is None and empty:
+        return ()
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}.{key} must be a list")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}.{key} entries must be numbers")
+    return tuple(float(v) for v in values)
+
+
 def parse_config(text: str) -> TrialConfig:
     """Parse and validate one YAML config document."""
     try:
@@ -95,12 +109,7 @@ def parse_config(text: str) -> TrialConfig:
     )
 
     sources = _mapping(document["sources"], _SOURCES_KEYS, "sources")
-    directions = sources.get("directions_deg")
-    if not isinstance(directions, list):
-        raise ConfigError("sources.directions_deg must be a list")
-    for value in directions:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError("sources.directions_deg entries must be numbers")
+    directions = _number_list(sources, "directions_deg", "sources")
     amplitudes_node = sources.get("amplitudes")
     if not isinstance(amplitudes_node, list):
         raise ConfigError("sources.amplitudes must be a list")
@@ -131,19 +140,11 @@ def parse_config(text: str) -> TrialConfig:
     if run.get("sweep") is not None:
         sweep_node = _mapping(run["sweep"], _SWEEP_KEYS, "run.sweep")
         sweep_axis = sweep_node.get("axis", "none")
-        raw_values = sweep_node.get("values", [])
-        if raw_values is None:
-            raw_values = []
-        if not isinstance(raw_values, list):
-            raise ConfigError("run.sweep.values must be a list")
-        for value in raw_values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError("run.sweep.values entries must be numbers")
-        sweep_values = tuple(float(v) for v in raw_values)
+        sweep_values = _number_list(sweep_node, "values", "run.sweep", empty=True)
 
     return TrialConfig(
         geometry=spec,
-        directions_deg=tuple(float(v) for v in directions),
+        directions_deg=directions,
         amplitudes=tuple(amplitudes),
         snr_db=snr_db,
         estimator=run.get("estimator"),
@@ -156,9 +157,13 @@ def parse_config(text: str) -> TrialConfig:
 
 
 def load_config(path) -> TrialConfig:
-    """Load one config file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    """Load one config file from disk; text that is not UTF-8 is a `ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_config(text)
 
 
 def packaged_config_names() -> Tuple[str, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _frozen
+from .array_model import _freeze, _matrix
 from .errors import DegenerateInputError, InvalidParameterError
 
 __all__ = [
@@ -44,8 +44,7 @@ class SourceCrossCovariance:
     conjugate_matrix: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrix", "conjugate_matrix"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=complex)))
+        _freeze(self, matrix=complex, conjugate_matrix=complex)
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,6 @@ class CorrelationStatistics:
     expected_magnitude: float
     expected_power: float
     dirichlet_factor: float
-
-
-def _row_matrix(source_rows):
-    data = getattr(source_rows, "data", source_rows)
-    arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InvalidParameterError("source rows must form a nonempty 2-D matrix")
-    return arr
 
 
 def _sinc_ratio(x):
@@ -100,7 +91,7 @@ def cross_covariance(source_rows):
     Returns the pair (R, R~) with R = (1/K) S S^H Hermitian positive
     semidefinite and R~ = (1/K) S S^T symmetric.
     """
-    s = _row_matrix(source_rows)
+    s = _matrix(source_rows, "source rows")
     k_count = s.shape[1]
     return SourceCrossCovariance(
         matrix=s @ s.conj().T / k_count,
@@ -110,7 +101,7 @@ def cross_covariance(source_rows):
 
 def coherence(source_rows):
     """Largest normalized cross-correlation magnitude over row pairs."""
-    s = _row_matrix(source_rows)
+    s = _matrix(source_rows, "source rows")
     if s.shape[0] < 2:
         raise InvalidParameterError("coherence needs at least two rows")
     gram = s @ s.conj().T

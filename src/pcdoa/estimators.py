@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, _frozen, _steering_matrix
+from .array_model import ArrayGeometry, _freeze, _frozen, _matrix, _steering_matrix
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
@@ -53,10 +53,7 @@ class PhaseOffsetEstimate:
     degenerate_flags: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", _frozen(np.asarray(self.offsets, complex)))
-        object.__setattr__(
-            self, "degenerate_flags", _frozen(np.asarray(self.degenerate_flags, bool))
-        )
+        _freeze(self, offsets=complex, degenerate_flags=bool)
 
 
 @dataclass(frozen=True)
@@ -81,31 +78,26 @@ class DoaEstimate:
     stop_reason: str | None = None
 
     def __post_init__(self):
-        theta = np.asarray(self.directions_deg, dtype=float)
-        if not (np.abs(theta) < 90.0).all():
+        _freeze(self, directions_deg=float, amplitudes=complex, spectra=float, grid_deg=float)
+        if not (np.abs(self.directions_deg) < 90.0).all():
             raise DomainError("estimated directions left the (-90, 90) degree domain")
         if not math.isfinite(self.final_cost):
             raise DomainError("final cost must be finite")
-        object.__setattr__(self, "directions_deg", _frozen(theta))
-        for name in ("amplitudes", "spectra", "grid_deg"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _frozen(np.asarray(value)))
 
 
 def _fit_inputs(measurements, geometry, offsets, count=None, amplitudes=None):
-    """The measurement and offset matrices of a fit, as complex arrays.
+    """The measurement and offset matrices of a fit, each read by `_matrix`.
 
     Raises ``InvalidParameterError`` unless the measurements are M x K
-    for the geometry and the offsets are 2-D with K columns and, when
+    for the geometry and the offsets have K columns and, when
     ``count`` directions are given, ``count`` rows and, when
     ``amplitudes`` are given, ``count`` of them.
     """
-    x = np.asarray(getattr(measurements, "data", measurements), dtype=complex)
-    phi = np.asarray(getattr(offsets, "offsets", offsets), dtype=complex)
+    x = _matrix(measurements, "measurements")
+    phi = _matrix(offsets, "offsets", field="offsets")
     if x.shape != (geometry.elements_per_subarray, geometry.subarray_count):
         raise InvalidParameterError("measurement shape does not match the geometry")
-    if phi.ndim != 2 or phi.shape[1] != geometry.subarray_count:
+    if phi.shape[1] != geometry.subarray_count:
         raise InvalidParameterError("offsets must have one column per subarray")
     if count is not None and phi.shape[0] != count:
         raise InvalidParameterError("offsets must have one row per initial direction")
@@ -125,9 +117,7 @@ def estimate_phase_offsets(separated):
     separated : array_like or SeparationResult
         L x K matrix of separated source rows.
     """
-    s = np.asarray(getattr(separated, "recovered", separated), dtype=complex)
-    if s.ndim != 2 or s.size == 0:
-        raise InvalidParameterError("separated rows must form a nonempty 2-D matrix")
+    s = _matrix(separated, "separated rows", field="recovered")
     magnitude = np.abs(s)
     flags = (magnitude < 1e-12 * magnitude.max()) | (magnitude == 0.0)
     offsets = np.where(flags, 1.0 + 0.0j, s / np.where(magnitude == 0.0, 1.0, magnitude))
@@ -192,9 +182,9 @@ def _grid_steering(wavelength, displacements, start_deg, stop_deg, step_deg):
     steering matrix, keyed by value: the wavelength, the float64 bytes of
     the element displacements and the triple.  The subarray offsets do not
     enter it, so a one-subarray geometry with the same elements builds it."""
-    grid_deg = _frozen(angle_grid(start_deg, stop_deg, step_deg))
+    grid_deg = _frozen(angle_grid(start_deg, stop_deg, step_deg), float, "grid")
     geometry = ArrayGeometry(wavelength, np.frombuffer(displacements), np.zeros(1))
-    return grid_deg, _frozen(_steering_matrix(geometry, np.radians(grid_deg)))
+    return grid_deg, _frozen(_steering_matrix(geometry, np.radians(grid_deg)), complex, "steering")
 
 
 def _source_columns(x, phi):

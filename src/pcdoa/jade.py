@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _frozen
+from .array_model import _freeze, _frozen, _matrix
 from .errors import InvalidParameterError, RankDeficiencyError
 
 __all__ = [
@@ -53,8 +53,7 @@ class WhiteningResult:
     whitened: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "whitener", _frozen(np.asarray(self.whitener, complex)))
-        object.__setattr__(self, "whitened", _frozen(np.asarray(self.whitened, complex)))
+        _freeze(self, whitener=complex, whitened=complex)
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,11 @@ class CumulantMatrixSet:
     packed: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "matrices",
-            tuple(_frozen(np.asarray(m, complex)) for m in self.matrices),
-        )
+        # One read-only stack; each matrix is a view of it.
+        object.__setattr__(self, "matrices", tuple(_frozen(self.matrices, complex, "matrices")))
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
         object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
-        object.__setattr__(self, "packed", _frozen(np.asarray(self.packed, complex)))
+        _freeze(self, packed=complex)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class UnitaryDiagonalizer:
     sweeps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _frozen(np.asarray(self.rotation, complex)))
+        _freeze(self, rotation=complex)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class SeparationResult:
     recovered: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "recovered", _frozen(np.asarray(self.recovered, complex)))
+        _freeze(self, recovered=complex)
 
 
 def estimate_whitener(measurements, n_sources):
@@ -128,9 +124,7 @@ def estimate_whitener(measurements, n_sources):
         If a debiased signal eigenvalue is not positive; the offending
         1-based index is recorded on the exception.
     """
-    y = np.asarray(getattr(measurements, "data", measurements), dtype=complex)
-    if y.ndim != 2:
-        raise InvalidParameterError("measurements must be a 2-D matrix")
+    y = _matrix(measurements, "measurements")
     n_rows, n_samples = y.shape
     n_src = int(n_sources)
     if not (0 < n_src < n_rows):
@@ -204,9 +198,7 @@ def cumulant_matrix_set(whitened):
     column-major into L x L matrices and scaled by the corresponding
     singular values.
     """
-    z = np.asarray(whitened, dtype=complex)
-    if z.ndim != 2:
-        raise InvalidParameterError("whitened rows must form a 2-D matrix")
+    z = _matrix(whitened, "whitened rows")
     n_src, n_samples = z.shape
     if n_samples <= n_src:
         raise InvalidParameterError("need more samples than rows")
@@ -244,8 +236,7 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
 
     Accepts a CumulantMatrixSet or any sequence of square matrices.
     """
-    matrices = getattr(matrix_set, "matrices", matrix_set)
-    stack = np.array([np.asarray(m, dtype=complex) for m in matrices])
+    stack = _frozen(getattr(matrix_set, "matrices", matrix_set), complex, "matrices")
     if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
         raise InvalidParameterError("need a nonempty set of square matrices of one size")
     size = stack.shape[1]
@@ -311,9 +302,7 @@ def jade_cost(source_rows, include_diagonal_triples=False):
     contamination, and stay bounded away from zero for constant-modulus
     rows.  Set ``include_diagonal_triples`` to sum every triple.
     """
-    s = np.asarray(getattr(source_rows, "data", source_rows), dtype=complex)
-    if s.ndim != 2 or s.size == 0:
-        raise InvalidParameterError("source rows must form a nonempty 2-D matrix")
+    s = _matrix(source_rows, "source rows")
     rows = np.arange(s.shape[0])
     # moduli[r, p, q] = |Cum(row_r, conj row_r, row_p, conj row_q)|^2
     moduli = np.abs(_cumulant_tensor(s)[rows, rows]) ** 2

@@ -9,6 +9,7 @@ are written with repr precision so a write / read round trip is exact.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from typing import Sequence, Union
 
@@ -68,59 +69,56 @@ def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:
 
     Every (element, subarray) cell must appear exactly once with indices
     inside the geometry's dimensions and finite values. Errors carry the
-    offending 1-based file row number.
+    offending 1-based file row number; a file that is not UTF-8 text is a
+    `SnapshotFormatError` too.
     """
     elements = geometry.elements_per_subarray
     subarrays = geometry.subarray_count
     data = np.full((elements, subarrays), np.nan, dtype=complex)
     seen = np.zeros((elements, subarrays), dtype=bool)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(
+            f"file is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SnapshotFormatError("file is empty", row=1) from None
+    if tuple(field.strip() for field in header) != HEADER:
+        raise SnapshotFormatError(f"header must be {','.join(HEADER)}", row=1)
+    for row_number, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise SnapshotFormatError(f"expected 4 fields, found {len(row)}", row=row_number)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SnapshotFormatError("file is empty", row=1) from None
-        if tuple(field.strip() for field in header) != HEADER:
+            m = int(row[0])
+            k = int(row[1])
+        except ValueError:
+            raise SnapshotFormatError("indices must be integers", row=row_number) from None
+        if not (1 <= m <= elements and 1 <= k <= subarrays):
             raise SnapshotFormatError(
-                f"header must be {','.join(HEADER)}", row=1
+                f"cell (element {m}, subarray {k}) is outside the "
+                f"{elements}x{subarrays} geometry",
+                row=row_number,
             )
-        for row_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise SnapshotFormatError(
-                    f"expected 4 fields, found {len(row)}", row=row_number
-                )
-            try:
-                m = int(row[0])
-                k = int(row[1])
-            except ValueError:
-                raise SnapshotFormatError(
-                    "indices must be integers", row=row_number
-                ) from None
-            if not (1 <= m <= elements and 1 <= k <= subarrays):
-                raise SnapshotFormatError(
-                    f"cell (element {m}, subarray {k}) is outside the "
-                    f"{elements}x{subarrays} geometry",
-                    row=row_number,
-                )
-            try:
-                real = float(row[2])
-                imag = float(row[3])
-            except ValueError:
-                raise SnapshotFormatError(
-                    "real and imag must be numeric", row=row_number
-                ) from None
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise SnapshotFormatError(
-                    "real and imag must be finite", row=row_number
-                )
-            if seen[m - 1, k - 1]:
-                raise SnapshotFormatError(
-                    f"duplicate cell (element {m}, subarray {k})", row=row_number
-                )
-            seen[m - 1, k - 1] = True
-            data[m - 1, k - 1] = complex(real, imag)
+        try:
+            real = float(row[2])
+            imag = float(row[3])
+        except ValueError:
+            raise SnapshotFormatError("real and imag must be numeric", row=row_number) from None
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise SnapshotFormatError("real and imag must be finite", row=row_number)
+        if seen[m - 1, k - 1]:
+            raise SnapshotFormatError(
+                f"duplicate cell (element {m}, subarray {k})", row=row_number
+            )
+        seen[m - 1, k - 1] = True
+        data[m - 1, k - 1] = complex(real, imag)
     if not seen.all():
         missing = np.argwhere(~seen)[0]
         raise SnapshotFormatError(

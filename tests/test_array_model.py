@@ -16,7 +16,19 @@ from pcdoa.array_model import (
     steering_vector,
     synthesize,
 )
+from pcdoa.correlation import SourceCrossCovariance, coherence, cross_covariance
 from pcdoa.errors import IdentifiabilityError, InvalidParameterError
+from pcdoa.estimators import DoaEstimate, PhaseOffsetEstimate, bss_mf, estimate_phase_offsets
+from pcdoa.jade import (
+    CumulantMatrixSet,
+    SeparationResult,
+    UnitaryDiagonalizer,
+    WhiteningResult,
+    cumulant_matrix_set,
+    estimate_whitener,
+    jade_cost,
+    joint_diagonalize,
+)
 
 
 def test_equidistant_offsets_reference_layout():
@@ -211,8 +223,19 @@ def test_noise_variance_scaling():
         (lambda a: SourceScenario([1.0, 2.0], a, 0.1), "amplitudes", [0j, 1.5 + 0j]),
         (MeasurementMatrix, "data", [[0j, 1.5 + 0j]]),
         (SourceSignalMatrix, "data", [[0j], [1.5 + 0j]]),
+        (lambda a: PhaseOffsetEstimate(a, [[False, False]]), "offsets", [[0j, 1.5 + 0j]]),
+        (lambda a: DoaEstimate(a, None, None, None, 0, 1.0), "directions_deg", [0.0, 1.5]),
+        (lambda a: WhiteningResult(a, 0.0, [[1j]]), "whitener", [[0j, 1.5 + 0j]]),
+        (lambda a: CumulantMatrixSet((), (), (), a), "packed", [[0j, 1.5 + 0j]]),
+        (lambda a: UnitaryDiagonalizer(a, 0.0, 1), "rotation", [[0j, 1.5 + 0j]]),
+        (lambda a: SeparationResult(None, None, None, a), "recovered", [[0j, 1.5 + 0j]]),
+        (lambda a: SourceCrossCovariance(a, [[1j]]), "matrix", [[0j, 1.5 + 0j]]),
     ],
-    ids=["eta", "xi", "directions", "amplitudes", "measurements", "source-rows"],
+    ids=[
+        "eta", "xi", "directions", "amplitudes", "measurements", "source-rows",
+        "phase-offsets", "doa-estimate", "whitening", "cumulants", "diagonalizer",
+        "separation", "cross-covariance",
+    ],
 )
 def test_records_copy_the_callers_array(build, field, values):
     # Each record freezes its own copy of an array already of its dtype;
@@ -224,3 +247,41 @@ def test_records_copy_the_callers_array(build, field, values):
     stored = getattr(record, field)
     assert not stored.flags.writeable
     assert stored.ravel()[1] == 1.5
+
+
+BAD_MATRICES = {
+    "ragged": [[1.0, 2.0, 3.0], [4.0, 5.0]],
+    "not-numbers": [["a", "b", "c"], ["d", "e", "f"]],
+    "1-D": [1.0, 2.0, 3.0],
+    "empty": np.zeros((0, 3)),
+}
+
+
+def _bss_mf(matrix):
+    geometry = build_geometry("equidistant", 3, 2, 0.5, 10.0, 1.0)
+    return bss_mf(matrix, geometry, np.ones((1, 3)), (0.0, 10.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", list(BAD_MATRICES.values()), ids=list(BAD_MATRICES))
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda m: estimate_whitener(m, 1),
+        cumulant_matrix_set,
+        lambda m: joint_diagonalize([m, m]),
+        jade_cost,
+        estimate_phase_offsets,
+        _bss_mf,
+        cross_covariance,
+        coherence,
+    ],
+    ids=[
+        "estimate_whitener", "cumulant_matrix_set", "joint_diagonalize", "jade_cost",
+        "estimate_phase_offsets", "bss_mf", "cross_covariance", "coherence",
+    ],
+)
+def test_matrix_stages_refuse_bad_input(stage, bad):
+    # estimate_whitener, joint_diagonalize and cross_covariance let numpy's
+    # own ValueError escape for some of these.
+    with pytest.raises(InvalidParameterError):
+        stage(bad)

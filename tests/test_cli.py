@@ -337,6 +337,22 @@ class TestErrors:
     def test_unknown_packaged_name(self, tmp_path):
         assert run("estimate", "--config", "fig99", "--out", str(tmp_path)) == 2
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # It used to end in a UnicodeDecodeError traceback and exit 1.
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(CONFIG.encode() + b"# \xff\n")
+        assert run("synth", "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert "config error: config is not UTF-8 text" in capsys.readouterr().err
+
+    def test_snapshot_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"element_index,subarray_index,real,imag\n1,1,\xff,0.0\n")
+        assert run(
+            "estimate", "--config", "experiment", "--add", str(bad),
+            "--out", str(tmp_path / "out"),
+        ) == 4
+        assert "i/o error: file is not UTF-8 text" in capsys.readouterr().err
+
     def test_zero_trials_is_a_config_error(self, tmp_path):
         assert run(
             "montecarlo", "--config", "fig6a", "--trials", "0", "--out", str(tmp_path),

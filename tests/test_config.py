@@ -183,6 +183,32 @@ class TestParse:
         with pytest.raises(ConfigError, match=needle):
             parse_config(MINIMAL + run_lines)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (MINIMAL.replace("[2.0, 9.0]", "2.0"), "sources.directions_deg must be a list"),
+            (
+                MINIMAL.replace("[2.0, 9.0]", "[2.0, true]"),
+                "sources.directions_deg entries must be numbers",
+            ),
+            (MINIMAL + "  sweep: {axis: snr, values: 10.0}\n", "run.sweep.values must be a list"),
+            (
+                MINIMAL + "  sweep: {axis: snr, values: [10.0, x]}\n",
+                "run.sweep.values entries must be numbers",
+            ),
+        ],
+        ids=["directions-scalar", "directions-bool", "sweep-scalar", "sweep-text"],
+    )
+    def test_number_lists_rejected(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("values", ["", ", values: null"], ids=["missing", "null"])
+    def test_sweep_values_default_to_empty(self, values):
+        config = parse_config(MINIMAL + f"  sweep: {{axis: none{values}}}\n")
+        assert config.sweep_values == ()
+
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
     def test_non_finite_snr_rejected(self, value):
         with pytest.raises(ConfigError, match="snr_db"):
