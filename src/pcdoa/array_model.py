@@ -14,8 +14,8 @@ here. A frozen record keeps a read-only copy of each array field
 (`_frozen`, applied field by field by `_freeze`), so the caller's array
 stays writable and nothing the caller does changes the record. A stage
 reads its input matrix through `_matrix`, from a record's field or a bare
-array, as a nonempty 2-D complex matrix. Entries that are not numbers,
-ragged input, the wrong rank and empty input all raise
+array, as a nonempty 2-D complex matrix. Entries that are not numbers
+or not finite, ragged input, the wrong rank and empty input all raise
 `InvalidParameterError`.
 """
 
@@ -63,12 +63,14 @@ def _freeze(record, **dtypes):
 
 def _matrix(value, name, field="data"):
     """The ``field`` of a record, or ``value`` itself, as a `_frozen`
-    nonempty 2-D complex matrix; InvalidParameterError otherwise."""
+    nonempty, finite 2-D complex matrix; InvalidParameterError otherwise."""
     if not isinstance(value, np.ndarray):  # an ndarray's own `data` is its buffer
         value = getattr(value, field, value)
     arr = _frozen(value, complex, name)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidParameterError(f"{name} must form a nonempty 2-D matrix")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite")
     return arr
 
 

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 `main` reads one config (a path, or the bare name of a packaged config
-such as `fig6b`) and applies flag overrides; each subcommand runs on it and
-writes plot-ready CSV files plus a JSON sidecar holding the resolved
-config and library version. Outputs are deterministic for a given config
-and seed: re-running a command overwrites byte-identical files. Floats
-are written as Python `repr`, so `-0.0`, `nan` and `inf` appear as
-Python prints them.
+such as `fig6b`) and applies flag overrides. Each subcommand returns one
+plot-ready table, its name and its sidecar entries, and `main` writes
+every run the same way: `<name>.csv` and a JSON sidecar `<name>.json` in
+`--out`, the sidecar adding `command` (the subcommand as typed), the
+library version and the resolved config. Outputs are deterministic for a
+given config and seed: re-running a command overwrites byte-identical
+files. Floats are written as Python `repr`, so `-0.0`, `nan` and `inf`
+appear as Python prints them.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -29,7 +31,7 @@ from .errors import NUMERICAL_ERRORS, ConfigError, InvalidParameterError, Snapsh
 from .estimators import bss_mf, bss_nls, estimate_phase_offsets
 from .jade import jade_separate
 from .harness import TrialConfig, monte_carlo, orthogonality_experiment
-from .snapshot_io import superpose_snapshots, write_csv, write_snapshot_csv
+from .snapshot_io import HEADER, snapshot_columns, superpose_snapshots, write_csv
 
 
 def _resolve_config(ref: str) -> TrialConfig:
@@ -41,44 +43,21 @@ def _resolve_config(ref: str) -> TrialConfig:
     raise ConfigError(f"config file not found: {ref}")
 
 
-def _write_sidecar(out_dir: str, name: str, command: str, config: TrialConfig, extra=None):
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": config.as_dict(),
-    }
-    if extra:
-        payload.update(extra)
-    path = os.path.join(out_dir, f"{name}.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_synth(config: TrialConfig, args) -> int:
+def _cmd_synth(config: TrialConfig, args):
     geometry = config.geometry.build()
     snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
-    write_snapshot_csv(os.path.join(args.out, "snapshot.csv"), snapshot)
-    _write_sidecar(args.out, "snapshot", "synth", config)
-    return 0
+    return "snapshot", HEADER, snapshot_columns(snapshot), {}
 
 
-def _cmd_ingest(config: TrialConfig, args) -> int:
+def _cmd_ingest(config: TrialConfig, args):
     if not args.add:
         raise ConfigError("ingest needs at least one --add snapshot file")
     geometry = config.geometry.build()
     combined = superpose_snapshots(args.add, geometry)
-    write_snapshot_csv(os.path.join(args.out, "snapshot.csv"), combined)
-    _write_sidecar(
-        args.out,
-        "snapshot",
-        "ingest",
-        config,
-        extra={"inputs": list(args.add)},
-    )
-    return 0
+    return "snapshot", HEADER, snapshot_columns(combined), {"inputs": list(args.add)}
 
 
-def _cmd_estimate(config: TrialConfig, args) -> int:
+def _cmd_estimate(config: TrialConfig, args):
     config.required_grid()
     geometry = config.geometry.build()
     if args.add:
@@ -87,15 +66,11 @@ def _cmd_estimate(config: TrialConfig, args) -> int:
         snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
     offsets, mf, result = harness.estimate(config, geometry, snapshot)
     sources = len(config.directions_deg)
-    write_csv(
-        os.path.join(args.out, "spectra.csv"),
-        ["theta_deg", "source_index", "value"],
-        [
-            np.tile(mf.grid_deg, sources),
-            np.repeat(np.arange(1, sources + 1), len(mf.grid_deg)),
-            mf.spectra.ravel(),
-        ],
-    )
+    columns = [
+        np.tile(mf.grid_deg, sources),
+        np.repeat(np.arange(1, sources + 1), len(mf.grid_deg)),
+        mf.spectra.ravel(),
+    ]
     estimates = {
         "estimator": config.estimator,
         "directions_deg": [float(v) for v in result.directions_deg],
@@ -110,69 +85,48 @@ def _cmd_estimate(config: TrialConfig, args) -> int:
         "final_cost": float(result.final_cost),
         "degenerate_phase_cells": int(np.count_nonzero(offsets.degenerate_flags)),
     }
-    _write_sidecar(
-        args.out,
-        "spectra",
-        "estimate",
-        config,
-        extra={"estimates": estimates, "inputs": list(args.add or [])},
-    )
-    return 0
+    extra = {"estimates": estimates, "inputs": list(args.add or [])}
+    return "spectra", ["theta_deg", "source_index", "value"], columns, extra
 
 
-def _cmd_orthogonality(config: TrialConfig, args) -> int:
+def _cmd_orthogonality(config: TrialConfig, args):
     points = orthogonality_experiment(config)
     rows = np.array([(p.separation_over_delta, p.truth, p.estimate) for p in points], dtype=float)
-    write_csv(
-        os.path.join(args.out, "orthogonality.csv"),
-        ["separation_over_delta", "truth", "estimate"],
-        rows.T,
-    )
     failed = sum(config.trials - p.trials_ok for p in points)
-    _write_sidecar(
-        args.out,
-        "orthogonality",
-        "orthogonality",
-        config,
-        extra={
-            "trials_failed_total": int(failed),
-            "failures_by_type": [p.failures for p in points],
-        },
-    )
-    return 0
+    extra = {
+        "trials_failed_total": int(failed),
+        "failures_by_type": [p.failures for p in points],
+    }
+    return "orthogonality", ["separation_over_delta", "truth", "estimate"], rows.T, extra
 
 
-def _run_monte_carlo(config: TrialConfig, args, command: str) -> int:
-    if command == "sweep" and config.sweep_axis == "none":
+def _cmd_monte_carlo(config: TrialConfig, args):
+    if args.command == "sweep" and config.sweep_axis == "none":
         raise ConfigError("sweep needs a config with run.sweep.axis set")
-    report = monte_carlo(config)
-    points = report.points
+    points = monte_carlo(config).points
     rows = np.array([(p.sweep_value, p.rmse_deg, p.resolve_rate) for p in points], dtype=float)
-    write_csv(
-        os.path.join(args.out, "rmse.csv"),
-        ["sweep_value", "rmse_deg", "resolve_rate", "trials_ok"],
-        [*rows.T, np.array([p.trials_ok for p in points], dtype=int)],
-    )
-    _write_sidecar(
-        args.out,
-        "rmse",
-        command,
-        config,
-        extra={
-            "trials_failed": [int(p.trials_failed) for p in points],
-            "failures_by_type": [p.failures for p in points],
-        },
-    )
-    return 0
+    columns = [*rows.T, np.array([p.trials_ok for p in points], dtype=int)]
+    extra = {
+        "trials_failed": [int(p.trials_failed) for p in points],
+        "failures_by_type": [p.failures for p in points],
+    }
+    return "rmse", ["sweep_value", "rmse_deg", "resolve_rate", "trials_ok"], columns, extra
 
 
+# Each command function returns (name, header, columns, sidecar entries).
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "estimate": _cmd_estimate,
-    "orthogonality": _cmd_orthogonality,
-    "montecarlo": functools.partial(_run_monte_carlo, command="montecarlo"),
-    "sweep": functools.partial(_run_monte_carlo, command="sweep"),
-    "ingest": _cmd_ingest,
+    "synth": (_cmd_synth, "synthesize one composite snapshot and write it as CSV"),
+    "estimate": (_cmd_estimate, "estimate directions from a synthesized or ingested snapshot"),
+    "orthogonality": (
+        _cmd_orthogonality,
+        "true versus recovered source correlation over a separation sweep",
+    ),
+    "montecarlo": (
+        _cmd_monte_carlo,
+        "seeded RMSE / resolve-rate statistics for the configured run",
+    ),
+    "sweep": (_cmd_monte_carlo, "like montecarlo but insists on a swept axis"),
+    "ingest": (_cmd_ingest, "validate and superpose measured snapshot CSV files"),
 }
 
 
@@ -185,15 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Single-snapshot direction finding with partly calibrated arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "synth": "synthesize one composite snapshot and write it as CSV",
-        "estimate": "estimate directions from a synthesized or ingested snapshot",
-        "orthogonality": "true versus recovered source correlation over a separation sweep",
-        "montecarlo": "seeded RMSE / resolve-rate statistics for the configured run",
-        "sweep": "like montecarlo but insists on a swept axis",
-        "ingest": "validate and superpose measured snapshot CSV files",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config file path or packaged name")
         p.add_argument("--out", default=".", help="output directory (default: current)")
@@ -224,7 +170,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, trials=args.trials, snr_db=args.snr_db, estimator=args.estimator
         )
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](config, args)
+        name, header, columns, extra = _COMMANDS[args.command][0](config, args)
+        write_csv(os.path.join(args.out, f"{name}.csv"), header, columns)
+        sidecar = {"command": args.command, "version": __version__, "config": config.as_dict()}
+        path = os.path.join(args.out, f"{name}.json")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(json.dumps({**sidecar, **extra}, indent=2, sort_keys=True) + "\n")
+        return 0
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

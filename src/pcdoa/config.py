@@ -48,10 +48,8 @@ def _mapping(node, allowed, where):
     return node
 
 
-def _number(node, key, where, default=None):
+def _number(node, key, where):
     if key not in node:
-        if default is not None:
-            return default
         raise ConfigError(f"'{where}' is missing '{key}'")
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):

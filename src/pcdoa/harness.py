@@ -84,6 +84,19 @@ class GeometrySpec:
         )
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real_tuple(values, name, count=None) -> tuple:
+    """``values`` as a tuple of real numbers (``count`` of them if given), or ConfigError."""
+    entries = tuple(values) if np.iterable(values) else None
+    if entries is None or not all(map(_is_real, entries)) or count not in (None, len(entries)):
+        what = "numbers" if count is None else f"{count} numbers"
+        raise ConfigError(f"{name} must be {what}, got {values!r}")
+    return entries
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Full description of one Monte-Carlo experiment.
@@ -102,7 +115,8 @@ class TrialConfig:
     "geometry: ...", "sources: ..." and "run.grid: ...", and resolves every
     sweep point through `scenario`. This class checks the estimator, the
     sweep axis and values, whole-number `trials` (at least 1) and
-    `base_seed`, a finite SNR and fewer sources than elements per subarray.
+    `base_seed`, a finite SNR, a three-number grid and fewer sources than
+    elements per subarray.
     """
 
     geometry: GeometrySpec
@@ -136,13 +150,13 @@ class TrialConfig:
             self.geometry.build()
         except InvalidParameterError as exc:
             raise ConfigError(f"geometry: {exc}") from None
-        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
-        values = np.asarray(self.sweep_values, dtype=float)
+        values = tuple(map(float, _real_tuple(self.sweep_values, "sweep_values")))
+        object.__setattr__(self, "sweep_values", values)
         if self.sweep_axis == "none":
-            if values.size:
+            if values:
                 raise ConfigError("sweep_values must be empty when sweep_axis is 'none'")
         else:
-            if not values.size:
+            if not values:
                 raise ConfigError(f"sweep_axis {self.sweep_axis!r} needs sweep_values")
             if not np.all(np.isfinite(values)):
                 raise ConfigError("sweep_values must be finite")
@@ -158,11 +172,11 @@ class TrialConfig:
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
                 f"per subarray ({self.geometry.elements})"
             )
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not (_is_real(self.snr_db) and math.isfinite(self.snr_db)):
+            raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
         if self.grid_deg is not None:
             try:
-                angle_grid(*self.grid_deg)
+                angle_grid(*_real_tuple(self.grid_deg, "grid", count=3))
             except (InvalidParameterError, DomainError) as exc:
                 raise ConfigError(f"run.grid: {exc}") from None
         for value in self.sweep_values or (None,):

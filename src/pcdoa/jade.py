@@ -234,11 +234,13 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
     angle in a sweep is at most ``_ANGLE_THRESHOLD`` (1e-8) or after
     ``max_sweeps``.
 
-    Accepts a CumulantMatrixSet or any sequence of square matrices.
+    Accepts a CumulantMatrixSet or any sequence of finite square matrices.
     """
     stack = _frozen(getattr(matrix_set, "matrices", matrix_set), complex, "matrices")
     if stack.ndim != 3 or stack.shape[0] == 0 or stack.shape[1] != stack.shape[2]:
         raise InvalidParameterError("need a nonempty set of square matrices of one size")
+    if not np.isfinite(stack).all():
+        raise InvalidParameterError("matrices must be finite")
     size = stack.shape[1]
     planes = list(itertools.combinations(range(size), 2))
     rows = np.empty((stack.shape[0], 3), dtype=complex)  # O of the current plane

@@ -3,7 +3,8 @@
 One file holds one M-bar x K snapshot as rows of
 `element_index,subarray_index,real,imag` with 1-based indices. Values
 are written with repr precision so a write / read round trip is exact.
-`write_csv` is the one CSV writer; the CLI writes its result tables with it.
+`write_csv` is the one CSV writer: the CLI writes every table with it,
+snapshots through `snapshot_columns`.
 """
 
 from __future__ import annotations
@@ -49,19 +50,21 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def write_snapshot_csv(path, snapshot: Union[MeasurementMatrix, np.ndarray]) -> None:
-    """Write a snapshot matrix to `path` in the standard CSV layout.
-
-    Rows are emitted element-major then subarray, matching the reader's
-    expectation of complete coverage in any order.
-    """
+def snapshot_columns(snapshot: Union[MeasurementMatrix, np.ndarray]) -> tuple:
+    """The four `HEADER` columns of a 2-D snapshot matrix, element-major
+    then subarray; `SnapshotFormatError` for any other shape."""
     data = np.asarray(getattr(snapshot, "data", snapshot), dtype=complex)
     if data.ndim != 2:
         raise SnapshotFormatError("snapshot must be a 2-D matrix")
     elements, subarrays = data.shape
     element_index = np.repeat(np.arange(1, elements + 1), subarrays)
     subarray_index = np.tile(np.arange(1, subarrays + 1), elements)
-    write_csv(path, HEADER, (element_index, subarray_index, data.real.ravel(), data.imag.ravel()))
+    return element_index, subarray_index, data.real.ravel(), data.imag.ravel()
+
+
+def write_snapshot_csv(path, snapshot: Union[MeasurementMatrix, np.ndarray]) -> None:
+    """Write a snapshot matrix to `path` in the standard CSV layout."""
+    write_csv(path, HEADER, snapshot_columns(snapshot))
 
 
 def ingest_snapshot_csv(path, geometry: ArrayGeometry) -> MeasurementMatrix:

@@ -254,11 +254,13 @@ BAD_MATRICES = {
     "not-numbers": [["a", "b", "c"], ["d", "e", "f"]],
     "1-D": [1.0, 2.0, 3.0],
     "empty": np.zeros((0, 3)),
+    # Square and 3 x 3, so that only its entries are wrong for every stage.
+    "non-finite": [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]],
 }
 
 
 def _bss_mf(matrix):
-    geometry = build_geometry("equidistant", 3, 2, 0.5, 10.0, 1.0)
+    geometry = build_geometry("equidistant", 3, 3, 0.5, 10.0, 1.0)
     return bss_mf(matrix, geometry, np.ones((1, 3)), (0.0, 10.0, 1.0))
 
 
@@ -282,6 +284,7 @@ def _bss_mf(matrix):
 )
 def test_matrix_stages_refuse_bad_input(stage, bad):
     # estimate_whitener, joint_diagonalize and cross_covariance let numpy's
-    # own ValueError escape for some of these.
+    # own ValueError escape for some of these; a non-finite matrix used to
+    # reach the linear algebra and end as LinAlgError or a NaN result.
     with pytest.raises(InvalidParameterError):
         stage(bad)

@@ -56,6 +56,32 @@ def run(*argv):
     return main(list(argv))
 
 
+# The name of the table and of the sidecar each subcommand writes.
+OUTPUT_NAMES = {
+    "synth": "snapshot",
+    "ingest": "snapshot",
+    "estimate": "spectra",
+    "orthogonality": "orthogonality",
+    "montecarlo": "rmse",
+    "sweep": "rmse",
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_NAMES))
+def test_each_run_writes_one_table_and_its_sidecar(tmp_path, command):
+    name = OUTPUT_NAMES[command]
+    path = tmp_path / "run.yaml"
+    path.write_text(CONFIG + "  sweep: {axis: separation, values: [1.0]}\n")
+    add = []
+    if command == "ingest":
+        assert run("synth", "--config", str(path), "--out", str(tmp_path / "parts")) == 0
+        add = ["--add", str(tmp_path / "parts" / "snapshot.csv")]
+    out = tmp_path / "out"
+    assert run(command, "--config", str(path), *add, "--out", str(out)) == 0
+    assert sorted(entry.name for entry in out.iterdir()) == [f"{name}.csv", f"{name}.json"]
+    assert json.loads((out / f"{name}.json").read_text())["command"] == command
+
+
 class TestEstimate:
     def test_writes_spectra_and_sidecar(self, config_path, tmp_path):
         out = tmp_path / "out"

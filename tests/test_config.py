@@ -196,8 +196,17 @@ class TestParse:
                 MINIMAL + "  sweep: {axis: snr, values: [10.0, x]}\n",
                 "run.sweep.values entries must be numbers",
             ),
+            (MINIMAL.replace("  subarrays: 4\n", ""), "'geometry' is missing 'subarrays'"),
+            (MINIMAL + "  trials: 2.5\n", "'run.trials' must be an integer"),
         ],
-        ids=["directions-scalar", "directions-bool", "sweep-scalar", "sweep-text"],
+        ids=[
+            "directions-scalar",
+            "directions-bool",
+            "sweep-scalar",
+            "sweep-text",
+            "missing-subarrays",
+            "fractional-trials",
+        ],
     )
     def test_number_lists_rejected(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -359,6 +368,15 @@ class TestReplace:
                 r"sources: directions_deg must be numbers, got \('a', 1.0\)",
             ),
             ({"directions_deg": 5.0}, "sources: directions_deg must be a 1-D sequence"),
+            # Values outside the sources block; each used to end in a bare
+            # ValueError or TypeError.
+            ({"sweep_values": ("a",)}, r"sweep_values must be numbers, got \('a',\)"),
+            ({"snr_db": "x"}, "snr_db must be a finite number, got 'x'"),
+            ({"grid_deg": (0, 1)}, r"run.grid: grid must be 3 numbers, got \(0, 1\)"),
+            (
+                {"grid_deg": ("a", 1, 0.1)},
+                r"run.grid: grid must be 3 numbers, got \('a', 1, 0.1\)",
+            ),
         ],
         ids=[
             "no-sources",
@@ -367,6 +385,10 @@ class TestReplace:
             "text-amplitudes",
             "text-direction",
             "scalar-direction",
+            "text-sweep-value",
+            "text-snr",
+            "two-grid-values",
+            "text-grid-start",
         ],
     )
     def test_bad_sources(self, changes, message):
