@@ -26,7 +26,7 @@ from pcdoa import (
 
 def main():
     config = load_packaged_config("experiment")
-    geometry = config.geometry.build()
+    geometry = config.array_geometry
     noise_var = config.scenario()[1]
     workdir = Path(tempfile.mkdtemp(prefix="roundtrip_"))
 

@@ -15,7 +15,7 @@ from pcdoa import SourceScenario, estimate, load_packaged_config, synthesize
 
 def run(name):
     config = load_packaged_config(name)
-    geometry = config.geometry.build()
+    geometry = config.array_geometry
     scenario = SourceScenario(
         config.directions_deg, config.amplitudes, config.scenario()[1], seed=7
     )

@@ -44,22 +44,20 @@ def _resolve_config(ref: str) -> TrialConfig:
 
 
 def _cmd_synth(config: TrialConfig, args):
-    geometry = config.geometry.build()
-    snapshot = harness.trial_snapshot(config, geometry, *config.scenario())
+    snapshot = harness.trial_snapshot(config, config.array_geometry, *config.scenario())
     return "snapshot", HEADER, snapshot_columns(snapshot), {}
 
 
 def _cmd_ingest(config: TrialConfig, args):
     if not args.add:
         raise ConfigError("ingest needs at least one --add snapshot file")
-    geometry = config.geometry.build()
-    combined = superpose_snapshots(args.add, geometry)
+    combined = superpose_snapshots(args.add, config.array_geometry)
     return "snapshot", HEADER, snapshot_columns(combined), {"inputs": list(args.add)}
 
 
 def _cmd_estimate(config: TrialConfig, args):
     config.required_grid()
-    geometry = config.geometry.build()
+    geometry = config.array_geometry
     if args.add:
         snapshot = superpose_snapshots(args.add, geometry)
     else:

@@ -114,9 +114,13 @@ class TrialConfig:
     `SourceScenario` and expands the grid, reporting their refusals as
     "geometry: ...", "sources: ..." and "run.grid: ...", and resolves every
     sweep point through `scenario`. This class checks the estimator, the
-    sweep axis and values, whole-number `trials` (at least 1) and
-    `base_seed`, a finite SNR, a three-number grid and fewer sources than
-    elements per subarray.
+    sweep axis and values, whole-number `trials` (at least 1), a
+    `base_seed` in [0, 2**64), a finite SNR, a three-number grid and fewer
+    sources than elements per subarray.
+
+    Construction keeps the geometry it builds as `array_geometry`, the one
+    geometry every run of this config uses; a copy made by `replace` or
+    `with_overrides` builds its own.
     """
 
     geometry: GeometrySpec
@@ -129,6 +133,7 @@ class TrialConfig:
     sweep_values: Sequence[float] = ()
     trials: int = 1
     base_seed: int = 0
+    array_geometry: ArrayGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.estimator not in ("bss_mf", "bss_nls"):
@@ -146,8 +151,10 @@ class TrialConfig:
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ConfigError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         try:
-            self.geometry.build()
+            object.__setattr__(self, "array_geometry", self.geometry.build())
         except InvalidParameterError as exc:
             raise ConfigError(f"geometry: {exc}") from None
         values = tuple(map(float, _real_tuple(self.sweep_values, "sweep_values")))
@@ -363,11 +370,11 @@ def run_trial(
     noise seed is `derive_seed` of those three. Numerical failures
     (`errors.NUMERICAL_ERRORS`) are caught and reported as a failed trial;
     a configuration error, such as a missing grid, raises before the
-    snapshot is synthesized.
+    snapshot is synthesized. `geometry` defaults to `config.array_geometry`.
     """
     config.required_grid()
     if geometry is None:
-        geometry = config.geometry.build()
+        geometry = config.array_geometry
     directions, noise_var = config.scenario(sweep_value)
     try:
         snapshot = trial_snapshot(
@@ -400,16 +407,12 @@ def monte_carlo(config: TrialConfig) -> MonteCarloReport:
     of its truth, and the failure count, also by exception type. A point
     where every trial failed carries NaN statistics and trials_ok = 0.
     """
-    geometry = config.geometry.build()
     # Half a resolution cell, applied in sin space where the cell is uniform.
-    radius = geometry.resolution / 2.0
+    radius = config.array_geometry.resolution / 2.0
     points = []
     # Unswept, the one point is reported at the SNR, which `scenario` ignores.
     for sweep_index, sweep_value in enumerate(config.sweep_values or (config.snr_db,)):
-        results = [
-            run_trial(config, t, sweep_index, sweep_value, geometry=geometry)
-            for t in range(config.trials)
-        ]
+        results = [run_trial(config, t, sweep_index, sweep_value) for t in range(config.trials)]
         ok = [r for r in results if not r.failed]
         estimates = (
             np.array([r.directions_deg for r in ok])
@@ -455,7 +458,7 @@ def orthogonality_experiment(config: TrialConfig) -> Tuple[OrthogonalityPoint, .
     """
     if config.sweep_axis != "separation":
         raise InvalidParameterError("orthogonality experiment sweeps separation")
-    geometry = config.geometry.build()
+    geometry = config.array_geometry
     points = []
     for sweep_index, value in enumerate(config.sweep_values):
         directions, noise_var = config.scenario(value)

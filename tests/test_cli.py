@@ -98,6 +98,10 @@ class TestEstimate:
         assert min(abs(e - 0.0) for e in est) < 0.5
         assert min(abs(e - 10.0) for e in est) < 0.5
 
+    def test_builds_the_geometry_once(self, tmp_path, geometry_builds):
+        assert run("estimate", "--config", "experiment", "--out", str(tmp_path)) == 0
+        assert len(geometry_builds) == 1
+
     def test_estimator_override_recorded(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert run(
@@ -518,6 +522,18 @@ class TestErrors:
         assert run(command, "--config", "fig3", *argv, "--out", str(out)) == 2
         assert calls == []
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        # Both used to run: derive_seed masks the seed to 64 bits, so -1
+        # aliased 2**64 - 1 while the sidecar recorded -1.
+        out = tmp_path / "out"
+        assert run(
+            "montecarlo", "--config", "fig6a", "--trials", "1", "--seed", seed,
+            "--out", str(out),
+        ) == 2
+        assert f"got {seed}" in capsys.readouterr().err
+        assert not (out / "rmse.csv").exists()
 
     def test_negative_random_layout_seed_refused(self, tmp_path):
         # numpy refuses a negative seed; it used to escape as a traceback (exit 1).

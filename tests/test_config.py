@@ -377,6 +377,9 @@ class TestReplace:
                 {"grid_deg": ("a", 1, 0.1)},
                 r"run.grid: grid must be 3 numbers, got \('a', 1, 0.1\)",
             ),
+            # derive_seed masks the seed to 64 bits, so these aliased 2**64 - 1 and 0.
+            ({"base_seed": -1}, r"base_seed must be in \[0, 2\*\*64\), got -1"),
+            ({"base_seed": 2**64}, rf"base_seed must be in \[0, 2\*\*64\), got {2**64}"),
         ],
         ids=[
             "no-sources",
@@ -389,6 +392,8 @@ class TestReplace:
             "text-snr",
             "two-grid-values",
             "text-grid-start",
+            "negative-seed",
+            "seed-2**64",
         ],
     )
     def test_bad_sources(self, changes, message):

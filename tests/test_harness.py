@@ -82,6 +82,29 @@ class TestTrialConfig:
             close_pair_config(trials=0)
 
 
+class TestOneGeometryPerConfig:
+    """A config builds its geometry once, and no run builds it again."""
+
+    def test_runs_reuse_the_configs_geometry(self, geometry_builds):
+        config = close_pair_config()
+        assert len(geometry_builds) == 1
+        fig4 = load_packaged_config("fig4")
+        fig4 = dataclasses.replace(fig4, sweep_values=fig4.sweep_values[:1], trials=1)
+        geometry_builds.clear()
+        monte_carlo(config)
+        orthogonality_experiment(fig4)
+        run_trial(config, 0)
+        assert geometry_builds == []
+
+    def test_replace_builds_the_new_geometry(self):
+        spec = load_packaged_config("fig4").geometry
+        config = dataclasses.replace(close_pair_config(), geometry=spec)
+        fresh = spec.build()
+        assert config.array_geometry.wavelength == fresh.wavelength
+        for name in ("intra_displacements", "inter_displacements"):
+            assert np.array_equal(getattr(config.array_geometry, name), getattr(fresh, name))
+
+
 class TestEstimate:
     @pytest.mark.parametrize("estimator", ["bss_mf", "bss_nls"])
     @pytest.mark.parametrize("name", ["fig5b", "experiment"])
