@@ -28,27 +28,27 @@ def main():
     config = load_packaged_config("experiment")
     geometry = config.array_geometry
     noise_var = config.scenario()[1]
-    workdir = Path(tempfile.mkdtemp(prefix="roundtrip_"))
+    with tempfile.TemporaryDirectory(prefix="roundtrip_") as tmp:
+        workdir = Path(tmp)
+        # one capture per emitter; the noise differs between captures, as it
+        # would on a real bench
+        paths = []
+        for index, (theta, amp) in enumerate(
+            zip(config.directions_deg, config.amplitudes)
+        ):
+            scenario = SourceScenario([theta], [amp], noise_var, seed=100 + index)
+            part, _ = synthesize(geometry, scenario)
+            path = workdir / f"capture_{index + 1}.csv"
+            write_snapshot_csv(path, part)
+            paths.append(path)
+            print(f"wrote {path} (emitter at {theta:.2f} deg alone)")
 
-    # one capture per emitter; the noise differs between captures, as it
-    # would on a real bench
-    paths = []
-    for index, (theta, amp) in enumerate(
-        zip(config.directions_deg, config.amplitudes)
-    ):
-        scenario = SourceScenario([theta], [amp], noise_var, seed=100 + index)
-        part, _ = synthesize(geometry, scenario)
-        path = workdir / f"capture_{index + 1}.csv"
-        write_snapshot_csv(path, part)
-        paths.append(path)
-        print(f"wrote {path} (emitter at {theta:.2f} deg alone)")
-
-    combined = superpose_snapshots(paths, geometry)
+        combined = superpose_snapshots(paths, geometry)
+        roundtrip = ingest_snapshot_csv(paths[0], geometry)
     from_files = np.sort(estimate(config, geometry, combined)[2].directions_deg)
     print(f"\nestimate from superposed captures: {np.round(from_files, 3)}")
     print(f"truth:                             {sorted(config.directions_deg)}")
 
-    roundtrip = ingest_snapshot_csv(paths[0], geometry)
     original, _ = synthesize(
         geometry,
         SourceScenario([config.directions_deg[0]], [config.amplitudes[0]], noise_var, seed=100),

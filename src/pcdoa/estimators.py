@@ -40,6 +40,8 @@ __all__ = [
     "match_sources",
 ]
 
+_MAX_GRID_POINTS = 1_000_000  # about 600 times the largest packaged grid (1,601 points)
+
 
 @dataclass(frozen=True)
 class PhaseOffsetEstimate:
@@ -125,15 +127,21 @@ def estimate_phase_offsets(separated):
 
 
 def angle_grid(start_deg, stop_deg, step_deg):
-    """Inclusive degree grid from start to stop with the given step."""
+    """Inclusive degree grid from start to stop with the given step; one of
+    more than ``_MAX_GRID_POINTS`` points is refused before allocation."""
     if not (step_deg > 0):
         raise InvalidParameterError("grid step must be positive")
     if stop_deg < start_deg:
         raise InvalidParameterError("grid stop must not precede start")
     if not (-90.0 < start_deg and stop_deg < 90.0):
         raise DomainError("grid must lie strictly inside (-90, 90) degrees")
-    count = int(np.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
-    return start_deg + step_deg * np.arange(count)
+    # An infinite quotient (a subnormal step) fails this test too.
+    steps = (stop_deg - start_deg) / step_deg + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"grid step {step_deg!r} gives more than {_MAX_GRID_POINTS} points"
+        )
+    return start_deg + step_deg * np.arange(int(np.floor(steps)) + 1)
 
 
 def bss_mf(measurements, geometry, offsets, grid):

@@ -116,7 +116,7 @@ class TrialConfig:
     sweep point through `scenario`. This class checks the estimator, the
     sweep axis and values, whole-number `trials` (at least 1), a
     `base_seed` in [0, 2**64), a finite SNR, a three-number grid and fewer
-    sources than elements per subarray.
+    sources than elements per subarray and than subarrays.
 
     Construction keeps the geometry it builds as `array_geometry`, the one
     geometry every run of this config uses; a copy made by `replace` or
@@ -178,6 +178,12 @@ class TrialConfig:
             raise ConfigError(
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
                 f"per subarray ({self.geometry.elements})"
+            )
+        # JADE's cumulants take the K subarray snapshots as their samples.
+        if len(self.directions_deg) >= self.array_geometry.subarray_count:
+            raise ConfigError(
+                f"need fewer sources ({len(self.directions_deg)}) than "
+                f"subarrays ({self.array_geometry.subarray_count})"
             )
         if not (_is_real(self.snr_db) and math.isfinite(self.snr_db)):
             raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")

@@ -11,8 +11,8 @@ Stages, each exposed on its own:
 
 1. whitening from the top of the sample covariance spectrum, with the
    noise level taken as the mean of the trailing eigenvalues,
-2. fourth-order sample cumulants of the whitened rows packed into an
-   L^2 x L^2 matrix,
+2. fourth-order sample cumulants of the whitened rows, computed directly
+   as one packed L^2 x L^2 matrix by `_packed_cumulants`,
 3. joint approximate diagonalization of the dominant devectorized
    eigenmatrices by Givens rotations.
 """
@@ -170,50 +170,47 @@ def sample_cumulant(ea, eb, ec, ed):
     return complex(direct - pairings / n_samples**2)
 
 
-def _cumulant_tensor(z):
-    """All fourth-order sample cumulants C[a,b,c,d] = Cum(z_a, conj z_b, z_c, conj z_d).
+def _packed_cumulants(z):
+    """Fourth-order sample cumulants of the rows of z as one L^2 x L^2 matrix.
 
-    The same quantity as ``sample_cumulant(z[a], z[b].conj(), z[c],
-    z[d].conj())`` for every index quadruple at once.
+    Entry (b*L + a, c*L + d) is ``sample_cumulant(z[a], z[b].conj(), z[c],
+    z[d].conj())``, for every index quadruple at once.
     """
     n_samples = z.shape[1]
     zc = z.conj()
-    mixed = z @ zc.T
-    direct = np.einsum("at,bt,ct,dt->abcd", z, zc, z, zc) / n_samples
-    pairings = (
-        np.einsum("ab,cd->abcd", mixed, mixed)
-        + np.einsum("ac,bd->abcd", z @ z.T, zc @ zc.T)
-        + np.einsum("ad,cb->abcd", mixed, mixed)
-    )
-    return direct - pairings / n_samples**2
+    # Row b*L + a is conj(z_b) z_a, so pairs @ pairs^H is the direct term.
+    pairs = (zc[:, None, :] * z[None, :, :]).reshape(-1, n_samples)
+    mixed, square = z @ zc.T, z @ z.T  # mixed[a, b] = z_a . conj z_b
+    outer = np.multiply.outer(mixed.T, mixed)  # [b, a, c, d] = mixed[a, b] mixed[c, d]
+    pairings = (  # the three Gaussian pairings on the (b, a, c, d) axes
+        outer
+        + np.multiply.outer(square.conj(), square).transpose(0, 2, 3, 1)
+        + outer.transpose(0, 2, 1, 3)  # mixed[a, d] mixed[c, b]
+    ).reshape(len(pairs), -1)
+    return pairs @ pairs.conj().T / n_samples - pairings / n_samples**2
 
 
 def cumulant_matrix_set(whitened):
     """Pack all fourth-order cumulants of the whitened rows and truncate.
 
-    Entry (p, q) of the L^2 x L^2 cumulant matrix is the cumulant of rows
-    (a, b, c, d) with p = a + (b-1) L and q = d + (c-1) L (1-based).  The
-    matrix is Hermitian; its eigenvalues are ordered by descending
-    magnitude, and the L dominant eigenvectors are devectorized
-    column-major into L x L matrices and scaled by the corresponding
-    singular values.
+    Entry (p, q) of the L^2 x L^2 matrix built by `_packed_cumulants` is
+    the cumulant of rows (a, b, c, d) with p = a + (b-1) L and
+    q = d + (c-1) L (1-based).  The matrix is Hermitian; its eigenvalues
+    are ordered by descending magnitude, and the L dominant eigenvectors
+    are devectorized column-major into L x L matrices and scaled by the
+    corresponding singular values.
     """
     z = _matrix(whitened, "whitened rows")
     n_src, n_samples = z.shape
     if n_samples <= n_src:
         raise InvalidParameterError("need more samples than rows")
-    # Row index b*L + a and column index c*L + d of the C-order reshape.
-    big = _cumulant_tensor(z).transpose(1, 0, 2, 3).reshape(n_src * n_src, n_src * n_src)
+    big = _packed_cumulants(z)
     values, vectors = np.linalg.eigh(big)
     order = np.argsort(-np.abs(values), kind="stable")
     values, vectors = values[order], vectors[:, order]
     scales = np.abs(values[:n_src])
-    matrices = tuple(
-        scale * vectors[:, l].reshape(n_src, n_src, order="F")
-        for l, scale in enumerate(scales)
-    )
     return CumulantMatrixSet(
-        matrices=matrices,
+        matrices=(vectors[:, :n_src] * scales).reshape(n_src, n_src, n_src).transpose(2, 1, 0),
         eigenvalues=tuple(scales),
         spectrum=tuple(values),
         packed=big,
@@ -221,7 +218,8 @@ def cumulant_matrix_set(whitened):
 
 
 def _off_diagonal_energy(stack):
-    return sum(float((np.abs(m) ** 2).sum() - (np.abs(m.diagonal()) ** 2).sum()) for m in stack)
+    power = np.abs(stack) ** 2  # per matrix, then added in order by the built-in sum
+    return sum((power.sum(axis=(1, 2)) - power.trace(axis1=1, axis2=2)).tolist())
 
 
 def joint_diagonalize(matrix_set, max_sweeps=100):
@@ -232,7 +230,8 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
     eigenvector of the real part of O^H O, where row l of O collects the
     (m, n)-plane entries of matrix l.  Sweeps stop when every rotation
     angle in a sweep is at most ``_ANGLE_THRESHOLD`` (1e-8) or after
-    ``max_sweeps``.
+    ``max_sweeps``; 2 x 2 matrices stop after one, since the rotation of
+    their one plane is the exact joint minimizer.  ``sweeps`` counts sweeps.
 
     Accepts a CumulantMatrixSet or any sequence of finite square matrices.
     """
@@ -268,7 +267,7 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
             stack = givens.conj().T @ stack @ givens
             rotation = rotation @ givens
         sweeps_done += 1
-        if not rotated:
+        if not rotated or size == 2:  # one plane, already at its joint minimizer
             break
     return UnitaryDiagonalizer(
         rotation=rotation,
@@ -299,15 +298,16 @@ def jade_cost(source_rows, include_diagonal_triples=False):
     """Sum of squared fourth-order cross-cumulant moduli over row triples.
 
     The sum runs over triples (r, p, q) of Cum(row_r, conj row_r, row_p,
-    conj row_q).  By default the L fully diagonal triples r = p = q are
+    conj row_q), entry (r*L + r, p*L + q) of the `_packed_cumulants`
+    matrix.  By default the L fully diagonal triples r = p = q are
     excluded: they measure the rows' own kurtosis, not their mutual
     contamination, and stay bounded away from zero for constant-modulus
     rows.  Set ``include_diagonal_triples`` to sum every triple.
     """
     s = _matrix(source_rows, "source rows")
     rows = np.arange(s.shape[0])
-    # moduli[r, p, q] = |Cum(row_r, conj row_r, row_p, conj row_q)|^2
-    moduli = np.abs(_cumulant_tensor(s)[rows, rows]) ** 2
+    packed_rows = rows * (len(rows) + 1)  # r*L + r
+    moduli = np.abs(_packed_cumulants(s)[packed_rows]) ** 2
     if not include_diagonal_triples:
-        moduli[rows, rows, rows] = 0.0
+        moduli[rows, packed_rows] = 0.0
     return float(np.sum(moduli))

@@ -7,7 +7,8 @@ import pytest
 
 from pcdoa import cli, harness
 from pcdoa.cli import main
-from pcdoa.errors import RankDeficiencyError
+from pcdoa.config import load_config
+from pcdoa.errors import ConfigError, RankDeficiencyError
 
 CONFIG = """
 geometry:
@@ -39,6 +40,7 @@ EXPERIMENT_EDITS = {
     "inf-magnitude": ("magnitude: 1.0", "magnitude: .inf"),
     "nan-grid-step": ("step_deg: 0.05", "step_deg: .nan"),
     "inf-grid-stop": ("stop_deg: 20.0", "stop_deg: .inf"),
+    "tiny-grid-step": ("step_deg: 0.05", "step_deg: 1.0e-12"),
     "grid-start-minus-95": ("start_deg: -20.0", "start_deg: -95.0"),
     "layout-spiral": ("layout: equidistant", "layout: spiral"),
     "no-directions": ("directions_deg: [0.63, 6.65]", "directions_deg: []"),
@@ -469,6 +471,23 @@ class TestErrors:
         out = tmp_path / "out"
         assert run(command, "--config", str(path), "--trials", "1", "--out", str(out)) == 2
         assert not (out / written).exists()
+
+    def test_no_more_subarrays_than_sources_refused_at_load(self, tmp_path, monkeypatch, capsys):
+        # JADE needs more subarray samples than sources; two subarrays for two
+        # sources used to load, synthesize a trial and then exit 2 with
+        # "need more samples than rows".
+        text = resources.files("pcdoa").joinpath("configs").joinpath("fig6a.yaml").read_text()
+        path = tmp_path / "fig6a_k2.yaml"
+        path.write_text(text.replace("subarrays: 10", "subarrays: 2"))
+        with pytest.raises(ConfigError, match=r"sources \(2\) than subarrays \(2\)"):
+            load_config(path)
+        calls = []
+        monkeypatch.setattr(harness, "trial_snapshot", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        assert run("montecarlo", "--config", str(path), "--trials", "1", "--out", str(out)) == 2
+        assert calls == []
+        assert "subarrays (2)" in capsys.readouterr().err
+        assert not (out / "rmse.csv").exists()
 
     @pytest.mark.parametrize(
         "edit", list(EXPERIMENT_EDITS.values()), ids=list(EXPERIMENT_EDITS)

@@ -253,8 +253,14 @@ class TestParse:
             "{start_deg: -95.0, stop_deg: 16.0, step_deg: 0.1}",
             "{start_deg: 16.0, stop_deg: 0.0, step_deg: 0.1}",
             "{start_deg: 0.0, stop_deg: 16.0, step_deg: 0.0}",
+            # More than 10**6 points: each used to reach numpy's allocator and
+            # end in a MemoryError, ValueError or OverflowError traceback.
+            "{start_deg: 0.0, stop_deg: 16.0, step_deg: 1.0e-12}",
+            "{start_deg: 0.0, stop_deg: 16.0, step_deg: 1.0e-300}",
+            "{start_deg: 0.0, stop_deg: 16.0, step_deg: 5.0e-324}",
         ],
-        ids=["nan-step", "inf-stop", "nan-start", "start-minus-95", "reversed", "zero-step"],
+        ids=["nan-step", "inf-stop", "nan-start", "start-minus-95", "reversed", "zero-step",
+             "step-1e-12", "step-1e-300", "step-subnormal"],
     )
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ConfigError, match="run.grid"):

@@ -23,6 +23,10 @@ def test_demo_runs(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # A demo's scratch files go to the temp folder and are gone when it ends.
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     completed = subprocess.run(
         [sys.executable, str(script), *EXTRA_ARGS.get(script.name, [])],
         cwd=tmp_path,
@@ -32,3 +36,4 @@ def test_demo_runs(script, tmp_path):
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
+    assert not list(temp.iterdir())

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from pcdoa import load_packaged_config
 from pcdoa.array_model import MeasurementMatrix
 from pcdoa.correlation import cross_covariance
 from pcdoa.errors import InvalidParameterError, RankDeficiencyError
+from pcdoa.harness import trial_snapshot
 from pcdoa.jade import (
     cumulant_matrix_set,
     estimate_whitener,
@@ -160,9 +162,9 @@ def test_cumulant_matrix_index_packing():
     np.testing.assert_allclose(cset.packed, cset.packed.conj().T, atol=1e-12)
 
 
-def test_cumulant_matrix_matches_reference_at_every_index():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cumulant_matrix_matches_reference_at_every_index(n):
     rng = np.random.default_rng(17)
-    n = 3
     z = rng.standard_normal((n, 12)) + 1j * rng.standard_normal((n, 12))
     packed = cumulant_matrix_set(z).packed
     for a in range(n):
@@ -318,8 +320,33 @@ def test_joint_diagonalize_matches_reference_loop_bit_for_bit(size, seed):
     got = joint_diagonalize(mats)
     assert got.rotation.tobytes() == rotation.tobytes()
     assert got.off_diagonal_energy == energy
-    assert got.sweeps == sweeps
     assert sweeps > 1
+    # One plane: the reference's last sweep rotates nothing and is skipped.
+    assert got.sweeps == (sweeps - 1 if size == 2 else sweeps)
+
+
+def test_joint_diagonalize_one_sweep_on_packaged_two_source_sets():
+    # On seeded two-source trials (fig6a at 0 and 40 dB, fig4 at separations
+    # 0.25 and 6.0) the reference loop's second sweep finds no rotation, so
+    # stopping after the first one keeps the rotation's bytes.
+    for name, sweep_indices in (("fig6a", (0, 8)), ("fig4", (0, 23))):
+        config = load_packaged_config(name)
+        for sweep_index in sweep_indices:
+            directions, noise_var = config.scenario(config.sweep_values[sweep_index])
+            for trial in range(10):
+                snapshot = trial_snapshot(
+                    config, config.array_geometry, directions, noise_var, sweep_index, trial
+                )
+                whitened = estimate_whitener(snapshot.data, 2).whitened
+                matrices = cumulant_matrix_set(whitened).matrices
+                rotation, energy, sweeps = _reference_joint_diagonalize(matrices)
+                first, _, _ = _reference_joint_diagonalize(matrices, max_sweeps=1)
+                assert sweeps == 2
+                assert first.tobytes() == rotation.tobytes()
+                got = joint_diagonalize(matrices)
+                assert got.sweeps == 1
+                assert got.rotation.tobytes() == rotation.tobytes()
+                assert got.off_diagonal_energy == energy
 
 
 def test_joint_diagonalize_shape_guard():
@@ -394,15 +421,16 @@ def test_jade_cost_diagonal_triple_closed_form():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_jade_cost_matches_reference_triple_sum():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jade_cost_matches_reference_triple_sum(n):
     rng = np.random.default_rng(19)
-    s = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+    s = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
     for include in (False, True):
         want = sum(
             abs(sample_cumulant(s[r], s[r].conj(), s[p], s[q].conj())) ** 2
-            for r in range(3)
-            for p in range(3)
-            for q in range(3)
+            for r in range(n)
+            for p in range(n)
+            for q in range(n)
             if include or not r == p == q
         )
         got = jade_cost(s, include_diagonal_triples=include)
