@@ -21,12 +21,15 @@ or not finite, ragged input, the wrong rank and empty input all raise
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IdentifiabilityError, InvalidParameterError
+
+_MAX_ELEMENTS = 1_000_000  # 10**4 times the largest packaged array (10 x 10)
 
 __all__ = [
     "ArrayGeometry",
@@ -245,7 +248,8 @@ def build_geometry(
         i.i.d. uniform on [0, aperture].
     subarray_count, elements_per_subarray : int
         K >= 2 subarrays of M >= 2 elements; a count that is not a whole
-        number is refused, not truncated.
+        number is refused, not truncated, and M K above ``_MAX_ELEMENTS``
+        is refused before anything is allocated.
     element_spacing : float
         Spacing d between adjacent elements inside one subarray.
     aperture : float
@@ -263,7 +267,9 @@ def build_geometry(
     """
     if layout not in ("equidistant", "uniform_random"):
         raise InvalidParameterError(f"unknown layout {layout!r}")
-    if not all(float(n).is_integer() for n in (subarray_count, elements_per_subarray)):
+    counts = (subarray_count, elements_per_subarray)
+    # An integer beyond float range is whole; the size rule below refuses it.
+    if not all(isinstance(n, numbers.Integral) or float(n).is_integer() for n in counts):
         raise InvalidParameterError(
             f"subarray_count and elements_per_subarray must be whole numbers, got "
             f"{subarray_count!r} and {elements_per_subarray!r}"
@@ -272,6 +278,10 @@ def build_geometry(
     m_count = int(elements_per_subarray)
     if k_count < 2 or m_count < 2:
         raise InvalidParameterError("need subarray_count >= 2 and elements_per_subarray >= 2")
+    if k_count * m_count > _MAX_ELEMENTS:
+        raise InvalidParameterError(
+            f"{k_count} subarrays of {m_count} elements exceed {_MAX_ELEMENTS} elements"
+        )
     if not (element_spacing > 0):
         raise InvalidParameterError("element_spacing must be positive")
     if not (aperture > (m_count - 1) * element_spacing):

@@ -174,10 +174,10 @@ class TrialConfig:
             SourceScenario(self.directions_deg, self.amplitudes, 0.0)
         except InvalidParameterError as exc:
             raise ConfigError(f"sources: {exc}") from None
-        if len(self.directions_deg) >= self.geometry.elements:
+        if len(self.directions_deg) >= self.array_geometry.elements_per_subarray:
             raise ConfigError(
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
-                f"per subarray ({self.geometry.elements})"
+                f"per subarray ({self.array_geometry.elements_per_subarray})"
             )
         # JADE's cumulants take the K subarray snapshots as their samples.
         if len(self.directions_deg) >= self.array_geometry.subarray_count:

@@ -41,12 +41,14 @@ from a global search:
 :func:`pcdoa.estimators.bss_nls` states when this fit applies and how
 both of its stages are solved.
 
-The fit parameterizes the pair by the reference sine u, the ratio
-rho = 1 + q of the two sines and the reference phases psi_k = kappa xi_k u
-(kappa = 2 pi / wavelength).  A common scaling of the displacements and
-the sines leaves every whole-aperture phase unchanged, so in this
-parameterization only u moves along that valley, which keeps the
-least-squares problem well conditioned.
+The model of L sources takes K + 3L - 1 reals (u, rho_2..rho_L,
+psi_2..psi_K, Re s, Im s), decoded by ``_Fit.unpack`` alone: the
+reference sine u, the ratios rho_l of the other sines to it and the
+reference phases psi_k = kappa xi_k u (kappa = 2 pi / wavelength).  A
+common scaling of the displacements and the sines leaves every
+whole-aperture phase unchanged, so only u moves along that valley, which
+keeps the least-squares problem well conditioned.  Only the search
+(steps 1-5) and :func:`unresolved_pair` take two sources, rho = 1 + q.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _search_halfwidth(geometry):
 def unresolved_pair(geometry, theta_rad):
     """True when :func:`pcdoa.estimators.bss_nls` fits the radian
     directions ``theta_rad`` with this module; its docstring states the
-    rule."""
+    rule, which admits two sources only."""
     # Four subarrays are the fewest that determine the projected model's
     # pair, its amplitudes and one phase per subarray.
     if theta_rad.size != 2 or geometry.subarray_count < 4:
@@ -111,9 +113,8 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations):
     moduli, grid = fit.around(best[0])
     best = fit.best_of(fit.modulus_starts(moduli, grid, _STARTS_REFINED, pull=True), best)
     params, history, iterations, reason = fit.polish(best[0], max_iterations)
-    u = params[0] * np.array([1.0, params[1]])
-    amplitudes = params[fit.K + 1 : fit.K + 3] + 1j * params[fit.K + 3 : fit.K + 5]
-    theta = np.arcsin(u)
+    sines, _, _, amplitudes = (part[0] for part in fit.unpack(params[None]))
+    theta = np.arcsin(sines)
     if abs(theta[0] - theta_rad[0]) + abs(theta[1] - theta_rad[1]) > abs(
         theta[1] - theta_rad[0]
     ) + abs(theta[0] - theta_rad[1]):
@@ -122,7 +123,7 @@ def shared_displacement_fit(x, geometry, theta_rad, max_iterations):
 
 
 class _Fit:
-    """Search state for one measurement matrix."""
+    """Two-source search state for one measurement matrix."""
 
     def __init__(self, x, geometry, theta_rad):
         self.x = x
@@ -158,7 +159,7 @@ class _Fit:
     # --- starting points -------------------------------------------------
 
     def initial_moduli(self):
-        """(A, c) guesses from the spread of |y_k|^2 and from subarray 1."""
+        """(A, c) guesses of a pair from the spread of |y_k|^2 and subarray 1."""
         mean = self.power.mean()
         swing = 0.5 * (self.power.max() - self.power.min())
         gamma = np.arccos(np.clip((self.power[0] - mean) / max(swing, 1e-300), -1.0, 1.0))
@@ -168,9 +169,8 @@ class _Fit:
 
     def around(self, params):
         """Moduli (A, c), with c also mirrored, and the grid of ratios q
-        near a fitted pair, all as seen after the projection."""
-        u = params[0] * np.array([1.0, params[1]])
-        s = params[self.K + 1 : self.K + 3] + 1j * params[self.K + 3 : self.K + 5]
+        near a fitted two-source vector, all as seen after the projection."""
+        u, _, _, s = (part[0] for part in self.unpack(params[None]))
         gains = np.exp(1j * self.kappa * np.outer(self.eta, u - self.u_ref)).sum(axis=0) / self.M
         s = s * gains
         strong = int(np.argmax(np.abs(s)))
@@ -182,8 +182,8 @@ class _Fit:
         return (np.array([a, a]), np.array([c, np.conj(c)])), grid
 
     def modulus_starts(self, moduli, grid, count, pull):
-        """Starts from the branch search at every ratio of ``grid`` and
-        every (A, c) init: the ``count`` deepest local minima over q.
+        """Two-source starts from the branch search at every ratio of ``grid``
+        and every (A, c) init: the ``count`` deepest local minima over q.
 
         With ``pull`` the branch phases are corrected, between choices,
         for the phase pull of the weaker source that the current (A, c, q)
@@ -240,7 +240,7 @@ class _Fit:
         return starts
 
     def vernier_starts(self):
-        """Starts from the constant-modulus rows and their phase vernier."""
+        """Two-source starts from the constant-modulus rows and their phase vernier."""
         # Five unknowns define the constant-modulus constraints; their
         # two-dimensional solution space needs at least six subarrays.
         if self.K < 6:
@@ -277,41 +277,53 @@ class _Fit:
             best = (params[i], costs[i], iterations[i])
         return best
 
+    def unpack(self, params):
+        """Sines (S, L), sine ratios (S, L), reference phases (S, K) with
+        psi_1 = 0 and amplitudes (S, L) of a stack of S parameter vectors;
+        L is read from their length K + 3L - 1."""
+        L = (params.shape[1] - self.K + 1) // 3
+        ratios, psi = params[:, :L].copy(), params[:, L - 1 : L - 1 + self.K].copy()
+        ratios[:, 0], psi[:, 0] = 1.0, 0.0  # rho_1 = 1 and psi_1 = 0
+        s = params[:, -2 * L : -L] + 1j * params[:, -L:]
+        return params[:, :1] * ratios, ratios, psi, s
+
+    def inside(self, params):
+        """Every sine of a stack of parameter vectors strictly inside (-1, 1)."""
+        return (np.abs(self.unpack(params)[0]) < 1).all(axis=1)
+
     def _model(self, params):
-        """Basis (S, M, K, 2), sine ratios, reference phases and amplitudes
-        of a stack of S parameter vectors."""
-        K = self.K
-        ratios = np.stack([np.ones(len(params)), params[:, 1]], axis=1)
-        psi = np.concatenate([np.zeros((len(params), 1)), params[:, 2 : K + 1]], axis=1)
-        s = params[:, K + 1 : K + 3] + 1j * params[:, K + 3 : K + 5]
-        sub = np.exp(1j * self.kappa * self.eta[:, None] * (params[:, :1] * ratios)[:, None, :])
+        """Basis (S, M, K, L) of a stack of S parameter vectors, and their
+        :meth:`unpack`."""
+        sines, ratios, psi, s = parts = self.unpack(params)
+        sub = np.exp(1j * self.kappa * self.eta[:, None] * sines[:, None, :])
         whole = np.exp(1j * psi[:, :, None] * ratios[:, None, :])
-        return sub[:, :, None, :] * whole[:, None, :, :], ratios, psi, s
+        return sub[:, :, None, :] * whole[:, None, :, :], parts
 
     def _costs(self, params):
-        basis, _, _, s = self._model(params)
+        basis, (_, _, _, s) = self._model(params)
         model = np.einsum("smkl,sl->smk", basis, s)
         return np.sum(np.abs(self.x - model) ** 2, axis=(1, 2))
 
     def _jacobian(self, params):
         """Residuals (x - model), flattened, and the model Jacobians."""
         K = self.K
-        basis, ratios, psi, s = self._model(params)
+        basis, (sines, ratios, psi, s) = self._model(params)
+        L = s.shape[1]
         weighted = basis * s[:, None, None, :]
-        jac = np.zeros(weighted.shape[:3] + (K + 5,), dtype=complex)
+        jac = np.zeros(weighted.shape[:3] + params.shape[1:], dtype=complex)
         wavenumbers = 1j * self.kappa * self.eta[:, None, None] * ratios[:, None, None, :]
         jac[..., 0] = (weighted * wavenumbers).sum(axis=-1)
-        jac[..., 1] = weighted[..., 1] * 1j * (
-            self.kappa * self.eta[:, None] * params[:, None, None, 0] + psi[:, None, :]
-        )
+        jac[..., 1:L] = weighted[..., 1:] * 1j * (
+            self.kappa * self.eta[:, None] * sines[:, None, None, 0] + psi[:, None, :]
+        )[..., None]
         phase_term = (weighted * (1j * ratios[:, None, None, :])).sum(axis=-1)
         k = np.arange(1, K)
-        jac[:, :, k, k + 1] = phase_term[:, :, 1:]
-        jac[..., K + 1 : K + 3] = basis
-        jac[..., K + 3 : K + 5] = 1j * basis
+        jac[:, :, k, k + L - 1] = phase_term[:, :, 1:]
+        jac[..., -2 * L : -L] = basis
+        jac[..., -L:] = 1j * basis
         residual = self.x - weighted.sum(axis=-1)
         count = len(params)
-        return residual.reshape(count, -1), jac.reshape(count, self.M * K, K + 5)
+        return residual.reshape(count, -1), jac.reshape(count, self.M * K, -1)
 
     def polish(self, params, max_iterations):
         """:func:`levenberg_marquardt` on the full model for one parameter
@@ -320,13 +332,13 @@ class _Fit:
             params,
             lambda p: tuple(part[0] for part in self._jacobian(p[None])),
             lambda p: self._costs(p[None])[0],
-            lambda p: bool(_sines_inside(p[None])[0]),
+            lambda p: bool(self.inside(p[None])[0]),
             max_iterations,
         )
 
     def polish_starts(self, starts):
-        """The S (q, phi) starts as parameter vectors with least-squares
-        amplitudes, each run through ``_START_ITERATIONS``
+        """The S (q, phi) starts as two-source parameter vectors with
+        least-squares amplitudes, each run through ``_START_ITERATIONS``
         Levenberg-Marquardt iterations with its own damping; returns
         (params, costs, iterations), one row per start.
 
@@ -368,7 +380,7 @@ class _Fit:
                 except np.linalg.LinAlgError:
                     damping[rows] *= 10.0
                     continue
-                valid = _sines_inside(trial)
+                valid = self.inside(trial)
                 trial_costs = np.full(rows.size, np.inf)
                 if valid.any():
                     trial_costs[valid] = self._costs(trial[valid])
@@ -380,11 +392,6 @@ class _Fit:
                 pending = pending[~better]
             active[live[pending]] = False
         return params, costs, iterations
-
-
-def _sines_inside(params):
-    """Both sines u and u * rho strictly inside (-1, 1)."""
-    return (np.abs(params[:, 0]) < 1) & (np.abs(params[:, 0] * params[:, 1]) < 1)
 
 
 def _normal_equations(residual, jac):

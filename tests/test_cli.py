@@ -44,6 +44,8 @@ EXPERIMENT_EDITS = {
     "grid-start-minus-95": ("start_deg: -20.0", "start_deg: -95.0"),
     "layout-spiral": ("layout: equidistant", "layout: spiral"),
     "no-directions": ("directions_deg: [0.63, 6.65]", "directions_deg: []"),
+    # Used to exit 1 with numpy's MemoryError for 745 GiB.
+    "1e11-subarrays": ("subarrays: 5", "subarrays: 100000000000"),
 }
 
 

@@ -159,6 +159,21 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_exponent_numbers_load_as_floats(self):
+        # YAML 1.1 reads these as strings; each used to be refused as
+        # "must be a number".
+        text = MINIMAL.replace("aperture: 12.0", "aperture: 1.0e12") + (
+            "  grid: {start_deg: -5E1, stop_deg: 5e1, step_deg: 5e-2}\n"
+        )
+        config = parse_config(text)
+        assert config.geometry.aperture == 1e12
+        assert config.grid_deg == (-50.0, 50.0, 0.05)
+
+    def test_quoted_exponent_stays_text(self):
+        text = MINIMAL + '  grid: {start_deg: -5.0, stop_deg: 5.0, step_deg: "5e-2"}\n'
+        with pytest.raises(ConfigError, match="'run.grid.step_deg' must be a number"):
+            parse_config(text)
+
     def test_count_mismatch(self):
         text = MINIMAL.replace("directions_deg: [2.0, 9.0]", "directions_deg: [2.0]")
         with pytest.raises(ConfigError, match="amplitude"):
@@ -303,6 +318,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="fewer sources"):
             parse_config(MINIMAL.replace("elements: 3", "elements: 2"))
 
+    def test_source_rule_prints_the_built_element_count(self):
+        # A whole float count used to be printed as given: "(2.0)".
+        config = parse_config(MINIMAL)
+        geometry = dataclasses.replace(config.geometry, elements=2.0)
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(config, geometry=geometry)
+        assert str(info.value) == "need fewer sources (2) than elements per subarray (2)"
+
 
 class TestOverrides:
     def test_each_field(self):
@@ -419,8 +442,26 @@ class TestReplace:
             ({"subarrays": 5.7}, "geometry: subarray_count and elements_per_subarray must be whole"),
             ({"elements": 3.5}, "geometry: subarray_count and elements_per_subarray must be whole"),
             ({"layout": "spiral"}, "geometry: unknown layout 'spiral'"),
+            # These used to allocate the displacements first and end in
+            # numpy's MemoryError or an OverflowError.
+            (
+                {"subarrays": 10**11},
+                "geometry: 100000000000 subarrays of 3 elements exceed 1000000 elements",
+            ),
+            ({"subarrays": 10**400}, "subarrays of 3 elements exceed 1000000 elements"),
+            (
+                {"subarrays": 1001, "elements": 1000},
+                "geometry: 1001 subarrays of 1000 elements exceed 1000000 elements",
+            ),
         ],
-        ids=["fractional-subarrays", "fractional-elements", "unknown-layout"],
+        ids=[
+            "fractional-subarrays",
+            "fractional-elements",
+            "unknown-layout",
+            "1e11-subarrays",
+            "1e400-subarrays",
+            "just-over-the-cap",
+        ],
     )
     def test_bad_geometry(self, changes, message):
         # A fractional count used to be truncated by the run while the

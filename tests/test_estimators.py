@@ -25,7 +25,7 @@ from pcdoa.estimators import (
     nls_cost_gradients,
 )
 from pcdoa.jade import jade_separate
-from pcdoa.shared_displacement import _Fit, _sines_inside, levenberg_marquardt, unresolved_pair
+from pcdoa.shared_displacement import _Fit, levenberg_marquardt, unresolved_pair
 
 
 def small_geometry():
@@ -636,7 +636,7 @@ class TestSharedDisplacement:
                 start,
                 lambda p: tuple(part[0] for part in fit._jacobian(p[None])),
                 lambda p: fit._costs(p[None])[0],
-                lambda p: bool(_sines_inside(p[None])[0]),
+                lambda p: bool(fit.inside(p[None])[0]),
                 cap,
                 0.0,
             )
@@ -656,6 +656,141 @@ class TestSharedDisplacement:
         assert np.all(np.diff(history) <= 0.0)
         assert result.final_cost == history[-1]
         assert result.iterations >= history.size - 1
+
+
+def two_source_model(fit, params):
+    """The two-source model with its (u, rho, psi_2..psi_K, Re s, Im s)
+    layout written out by hand: basis, ratios, reference phases and
+    amplitudes. The general model must match it bit for bit at L = 2."""
+    K = fit.K
+    ratios = np.stack([np.ones(len(params)), params[:, 1]], axis=1)
+    psi = np.concatenate([np.zeros((len(params), 1)), params[:, 2 : K + 1]], axis=1)
+    s = params[:, K + 1 : K + 3] + 1j * params[:, K + 3 : K + 5]
+    sub = np.exp(1j * fit.kappa * fit.eta[:, None] * (params[:, :1] * ratios)[:, None, :])
+    whole = np.exp(1j * psi[:, :, None] * ratios[:, None, :])
+    return sub[:, :, None, :] * whole[:, None, :, :], ratios, psi, s
+
+
+def two_source_costs(fit, params):
+    basis, _, _, s = two_source_model(fit, params)
+    model = np.einsum("smkl,sl->smk", basis, s)
+    return np.sum(np.abs(fit.x - model) ** 2, axis=(1, 2))
+
+
+def two_source_jacobian(fit, params):
+    """Residuals and Jacobians of :func:`two_source_model`."""
+    K = fit.K
+    basis, ratios, psi, s = two_source_model(fit, params)
+    weighted = basis * s[:, None, None, :]
+    jac = np.zeros(weighted.shape[:3] + (K + 5,), dtype=complex)
+    wavenumbers = 1j * fit.kappa * fit.eta[:, None, None] * ratios[:, None, None, :]
+    jac[..., 0] = (weighted * wavenumbers).sum(axis=-1)
+    jac[..., 1] = weighted[..., 1] * 1j * (
+        fit.kappa * fit.eta[:, None] * params[:, None, None, 0] + psi[:, None, :]
+    )
+    phase_term = (weighted * (1j * ratios[:, None, None, :])).sum(axis=-1)
+    k = np.arange(1, K)
+    jac[:, :, k, k + 1] = phase_term[:, :, 1:]
+    jac[..., K + 1 : K + 3] = basis
+    jac[..., K + 3 : K + 5] = 1j * basis
+    residual = fit.x - weighted.sum(axis=-1)
+    count = len(params)
+    return residual.reshape(count, -1), jac.reshape(count, fit.M * K, K + 5)
+
+
+def two_source_inside(params):
+    """Both sines u and u * rho strictly inside (-1, 1)."""
+    return (np.abs(params[:, 0]) < 1) & (np.abs(params[:, 0] * params[:, 1]) < 1)
+
+
+class TestSharedDisplacementModel:
+    """The fit's model for L sources: (u, rho_2..rho_L, psi_2..psi_K, Re s,
+    Im s), K + 3L - 1 reals."""
+
+    AMPLITUDES = [np.exp(1j * np.pi / 5), 3 * np.exp(3j * np.pi / 5), 2 * np.exp(-0.4j)]
+
+    @staticmethod
+    def truth(fit, geometry, directions_deg, amplitudes):
+        u = np.sin(np.radians(directions_deg))
+        psi = fit.kappa * geometry.inter_displacements[1:] * u[0]
+        s = np.asarray(amplitudes)
+        return np.concatenate([[u[0]], u[1:] / u[0], psi, s.real, s.imag])
+
+    def three_sources(self, directions_deg, noise_variance, seed=1):
+        geometry = paper_geometry()
+        scenario = SourceScenario(directions_deg, self.AMPLITUDES, noise_variance, seed=seed)
+        snapshot, _ = synthesize(geometry, scenario)
+        fit = _Fit(snapshot.data, geometry, np.radians(directions_deg))
+        return fit, self.truth(fit, geometry, directions_deg, self.AMPLITUDES)
+
+    def test_two_sources_match_the_hand_written_layout(self, monkeypatch):
+        geometry = paper_geometry()
+        snapshot, _ = synthesize(
+            geometry, SourceScenario([1.2, 1.4], [np.exp(0.6j), 3 * np.exp(1.9j)], 0.01, seed=2)
+        )
+        fit = _Fit(snapshot.data, geometry, np.radians([1.2, 1.4]))
+        starts = fit.modulus_starts(fit.initial_moduli(), fit.q_grid, 16, pull=False)
+        starts += fit.vernier_starts()
+        assert len(starts) == 34
+        polished = fit.polish_starts(starts)[0]
+        monkeypatch.setattr(shared_displacement, "_START_ITERATIONS", 0)
+        initial = fit.polish_starts(starts)[0]
+        # Reference sines swept across the edge: some vectors leave through
+        # u, some through u * rho only.
+        edge = initial.copy()
+        edge[:, 0] = np.linspace(-1.05, 1.05, len(edge))
+        for params in (initial, polished, edge):
+            residual, jac = fit._jacobian(params)
+            expected = two_source_jacobian(fit, params)
+            assert np.array_equal(residual, expected[0])
+            assert np.array_equal(jac, expected[1])
+            assert np.array_equal(fit._costs(params), two_source_costs(fit, params))
+            assert np.array_equal(fit.inside(params), two_source_inside(params))
+        flags = fit.inside(edge)
+        assert flags.any() and np.any(~flags & (np.abs(edge[:, 0]) < 1))
+
+    @pytest.mark.parametrize("directions_deg", [[1.2, 8.0, 14.2], [1.2, 1.4, 1.6]])
+    def test_three_source_jacobian_matches_central_differences(self, directions_deg):
+        fit, params = self.three_sources(directions_deg, 0.01)
+        assert params.size == fit.K + 3 * 3 - 1
+        jac = fit._jacobian(params[None])[1][0]
+        numeric = np.empty_like(jac)
+        for i in range(params.size):
+            step = np.zeros_like(params)
+            step[i] = 1e-6 * max(1.0, abs(params[i]))
+            plus = fit._jacobian((params + step)[None])[0][0]
+            minus = fit._jacobian((params - step)[None])[0][0]
+            numeric[:, i] = (minus - plus) / (2 * step[i])
+        assert np.max(np.abs(numeric - jac)) < 1e-5 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("directions_deg", [[1.2, 8.0, 14.2], [1.2, 1.4, 1.6]])
+    def test_noiseless_three_sources_polish_back_to_the_truth(self, directions_deg):
+        fit, truth = self.three_sources(directions_deg, 0.0)
+        start = truth * (1 + 1e-4 * np.random.default_rng(0).standard_normal(truth.size))
+        params, history, _, _ = fit.polish(start, 500)
+        assert np.max(np.abs(params - truth)) < 1e-12
+        assert history[-1] < 1e-20
+
+    def test_inside_checks_every_sine(self):
+        fit, truth = self.three_sources([1.2, 8.0, 14.2], 0.01)
+        assert fit.inside(truth[None]).all()
+        for sine in (1.0, -1.5):
+            outside = truth.copy()
+            outside[2] = sine / truth[0]
+            assert not fit.inside(np.vstack([truth, outside]))[1]
+
+    @pytest.mark.parametrize(
+        "directions_deg,bound_deg", [([1.2, 8.0, 14.2], 0.1), ([1.2, 1.4, 1.6], 0.1)]
+    )
+    def test_truth_started_three_source_fit_at_20_db(self, directions_deg, bound_deg):
+        # Over seeds 0-19 the largest error was 0.048 degrees on the wide
+        # set and 0.034 degrees on the close set, every run converged.
+        for seed in range(20):
+            fit, truth = self.three_sources(directions_deg, 0.01, seed)
+            params, _, _, reason = fit.polish(truth, 500)
+            sines = fit.unpack(params[None])[0][0]
+            assert reason == "converged"
+            assert np.max(np.abs(np.degrees(np.arcsin(sines)) - directions_deg)) < bound_deg
 
 
 class TestLevenbergMarquardt:

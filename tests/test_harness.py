@@ -151,7 +151,8 @@ class TestEstimateSymmetries:
     Over 40 seeded trials at 10, 20 and 40 dB the estimates moved by at
     most 2.2e-16 degrees on the close pair and 2.4e-15 degrees on the wide
     pair under either symmetry; the tolerance is about four times that.
-    A global gain x -> c x is not exact: on the close pair at 40 dB,
+    A gain x -> c x by a power of two moved the wide pair's estimates by
+    at most 2.2e-16 degrees. It is not exact on the close pair: at 40 dB,
     c = 0.7 moved one of 40 estimates by 2.1e-5 degrees.
     """
 
@@ -168,7 +169,7 @@ class TestEstimateSymmetries:
             snr_db=snr_db,
             base_seed=11,
         )
-        geometry = config.geometry.build()
+        geometry = config.array_geometry
         for trial in range(3):
             snapshot = harness.trial_snapshot(config, geometry, *config.scenario(), 0, trial)
             yield config, geometry, snapshot, estimate(config, geometry, snapshot)[2]
@@ -183,6 +184,15 @@ class TestEstimateSymmetries:
                 geometry.inter_displacements[self.ORDER],
             )
             moved = estimate(config, shuffled, MeasurementMatrix(snapshot.data[:, self.ORDER]))
+            np.testing.assert_allclose(
+                moved[2].directions_deg, result.directions_deg, rtol=0, atol=self.TOLERANCE_DEG
+            )
+
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0])
+    @pytest.mark.parametrize("gain", [2.0**-10, 2.0**10], ids=["2^-10", "2^10"])
+    def test_wide_pair_does_not_depend_on_scale(self, gain, snr_db):
+        for config, geometry, snapshot, result in self.trials("fig6a", snr_db):
+            moved = estimate(config, geometry, MeasurementMatrix(gain * snapshot.data))
             np.testing.assert_allclose(
                 moved[2].directions_deg, result.directions_deg, rtol=0, atol=self.TOLERANCE_DEG
             )
