@@ -18,3 +18,7 @@ python -m pcdoa.cli orthogonality --config fig3 --trials 2 --out "$out/orthogona
 # separation_sweep benchmark workload times.
 python -m pcdoa.cli orthogonality --config fig4 --trials 2 --out "$out/orthogonality_b"
 python -m pcdoa.cli estimate --config experiment --estimator bss_mf --out "$out/estimate_mf"
+python -m pcdoa.cli sweep --config fig6a --trials 1 --seed 7 --out "$out/sweep"
+# An --snr-db override goes through `dataclasses.replace`, which checks and
+# normalizes it like a value read from the config file.
+python -m pcdoa.cli estimate --config fig5a --snr-db 25 --seed 3 --out "$out/estimate_override"

@@ -253,8 +253,8 @@ def build_geometry(
     element_spacing : float
         Spacing d between adjacent elements inside one subarray.
     aperture : float
-        Placement span D for the subarray offsets; must exceed the
-        subarray length (M-1) * d.
+        Placement span D for the subarray offsets; finite, and must exceed
+        the subarray length (M-1) * d.
     wavelength : float
         Carrier wavelength.
     seed : int, optional
@@ -284,12 +284,10 @@ def build_geometry(
         )
     if not (element_spacing > 0):
         raise InvalidParameterError("element_spacing must be positive")
-    if not (aperture > (m_count - 1) * element_spacing):
+    if not ((m_count - 1) * element_spacing < aperture < np.inf):
         raise InvalidParameterError(
-            "aperture must exceed the subarray length (M-1)*element_spacing"
+            "aperture must be finite and exceed the subarray length (M-1)*element_spacing"
         )
-    if not (wavelength > 0):
-        raise InvalidParameterError("wavelength must be positive")
     if layout == "uniform_random" and seed is not None and seed < 0:
         raise InvalidParameterError(f"uniform_random seed must be non-negative, got {seed}")
     eta = np.arange(m_count) * float(element_spacing)

@@ -2,18 +2,18 @@
 
 A config is one YAML document with four blocks: `geometry`, `sources`,
 `noise` and `run`. It loads as one `harness.TrialConfig` and is fully
-validated at load. `parse_config` checks only the YAML shape (a block
-that is not a mapping, an unknown key, a value that is not a number), so
-typos fail loudly instead of silently running a different experiment.
-The values are checked by the objects a run builds, each error raised as
-`ConfigError`: `build_geometry` the geometry ("geometry: ..."),
-`SourceScenario` the sources ("sources: ..."), `estimators.angle_grid`
-the grid ("run.grid: ...") and `TrialConfig` the rest. README's "Config
-format" section lists every rule. Overrides go through
-`TrialConfig.with_overrides`, which validates the same way. Snapshot
-files (the CLI's `--add`, read by `estimate` and `ingest` only) are not
-part of a config. The packaged `configs/` directory holds one file per
-reproducible figure-style run.
+validated at load. `parse_config` checks only the YAML shape: a block
+that is not a mapping, an unknown key or a missing one, so typos fail
+loudly instead of silently running a different experiment. It also turns
+each polar amplitude (`magnitude`, `phase_deg`) into a complex number.
+Every value is checked and normalized once, by `GeometrySpec` and
+`TrialConfig`, the same way as for a config built in code; each error is
+a `ConfigError` that names its block ("geometry: ...", "sources: ...",
+"run.grid: ..."). README's "Config format" section lists every rule.
+Overrides go through `TrialConfig.with_overrides`, which validates the
+same way. Snapshot files (the CLI's `--add`, read by `estimate` and
+`ingest` only) are not part of a config. The packaged `configs/`
+directory holds one file per reproducible figure-style run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _SOURCES_KEYS = {"directions_deg", "amplitudes"}
 _AMPLITUDE_KEYS = {"magnitude", "phase_deg"}
 _NOISE_KEYS = {"snr_db"}
 _RUN_KEYS = {"estimator", "grid", "seed", "trials", "sweep"}
-_GRID_KEYS = {"start_deg", "stop_deg", "step_deg"}
+_GRID_KEYS = ("start_deg", "stop_deg", "step_deg")
 _SWEEP_KEYS = {"axis", "values"}
 _TOP_KEYS = {"geometry", "sources", "noise", "run"}
 
@@ -57,48 +57,34 @@ def _mapping(node, allowed, where):
     """``node`` if it is a mapping with no key outside ``allowed``."""
     if not isinstance(node, dict):
         raise ConfigError(f"'{where}' must be a mapping")
-    unknown = set(node) - allowed
+    unknown = set(node).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in '{where}'")
     return node
 
 
-def _number(node, key, where):
+def _required(node, key, where):
+    """``node[key]``, or a `ConfigError` naming the block that misses it."""
     if key not in node:
         raise ConfigError(f"'{where}' is missing '{key}'")
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number")
-    return float(value)
+    return node[key]
 
 
-def _integer(node, key, where, default=None):
-    if key not in node:
-        if default is not None:
-            return default
-        raise ConfigError(f"'{where}' is missing '{key}'")
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{where}.{key}' must be an integer")
-    return value
-
-
-def _number_list(node, key, where, empty=False):
-    """``node[key]``, a list of numbers, as floats; a missing or null list is
-    ``()`` when ``empty`` allows it."""
-    values = node.get(key)
-    if values is None and empty:
-        return ()
-    if not isinstance(values, list):
-        raise ConfigError(f"{where}.{key} must be a list")
-    for value in values:
+def _amplitude(entry, where) -> complex:
+    """One {magnitude, phase_deg} entry as a complex amplitude."""
+    entry = _mapping(entry, _AMPLITUDE_KEYS, where)
+    magnitude, phase_deg = (_required(entry, key, where) for key in ("magnitude", "phase_deg"))
+    for key, value in (("magnitude", magnitude), ("phase_deg", phase_deg)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} entries must be numbers")
-    return tuple(float(v) for v in values)
+            raise ConfigError(f"'{where}.{key}' must be a number")
+    if not math.isfinite(phase_deg):  # math.cos raises on an infinite angle
+        raise ConfigError(f"'{where}.phase_deg' must be finite")
+    phase = math.radians(phase_deg)
+    return magnitude * complex(math.cos(phase), math.sin(phase))
 
 
 def parse_config(text: str) -> TrialConfig:
-    """Parse and validate one YAML config document."""
+    """Parse one YAML config document; `TrialConfig` checks every value."""
     try:
         document = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
@@ -109,61 +95,42 @@ def parse_config(text: str) -> TrialConfig:
             raise ConfigError(f"config is missing the '{block}' block")
 
     geo = _mapping(document["geometry"], _GEOMETRY_KEYS, "geometry")
+    required = ("subarrays", "elements", "spacing", "aperture", "wavelength")
     spec = GeometrySpec(
         layout=geo.get("layout"),
-        subarrays=_integer(geo, "subarrays", "geometry"),
-        elements=_integer(geo, "elements", "geometry"),
-        spacing=_number(geo, "spacing", "geometry"),
-        aperture=_number(geo, "aperture", "geometry"),
-        wavelength=_number(geo, "wavelength", "geometry"),
-        seed=_integer(geo, "seed", "geometry", default=0),
+        seed=geo.get("seed", 0),
+        **{key: _required(geo, key, "geometry") for key in required},
     )
 
     sources = _mapping(document["sources"], _SOURCES_KEYS, "sources")
-    directions = _number_list(sources, "directions_deg", "sources")
-    amplitudes_node = sources.get("amplitudes")
-    if not isinstance(amplitudes_node, list):
+    directions = _required(sources, "directions_deg", "sources")
+    amplitudes = _required(sources, "amplitudes", "sources")
+    if not isinstance(amplitudes, list):
         raise ConfigError("sources.amplitudes must be a list")
-    amplitudes = []
-    for index, entry in enumerate(amplitudes_node):
-        where = f"sources.amplitudes[{index}]"
-        entry = _mapping(entry, _AMPLITUDE_KEYS, where)
-        magnitude = _number(entry, "magnitude", where)
-        phase = math.radians(_number(entry, "phase_deg", where))
-        if not math.isfinite(phase):  # math.cos raises on an infinite angle
-            raise ConfigError(f"'{where}.phase_deg' must be finite")
-        amplitudes.append(magnitude * complex(math.cos(phase), math.sin(phase)))
 
     noise = _mapping(document["noise"], _NOISE_KEYS, "noise")
-    snr_db = _number(noise, "snr_db", "noise")
-
     run = _mapping(document["run"], _RUN_KEYS, "run")
     grid = None
     if run.get("grid") is not None:
         grid_node = _mapping(run["grid"], _GRID_KEYS, "run.grid")
-        grid = (
-            _number(grid_node, "start_deg", "run.grid"),
-            _number(grid_node, "stop_deg", "run.grid"),
-            _number(grid_node, "step_deg", "run.grid"),
-        )
-    sweep_axis = "none"
-    sweep_values: Tuple[float, ...] = ()
-    if run.get("sweep") is not None:
-        sweep_node = _mapping(run["sweep"], _SWEEP_KEYS, "run.sweep")
-        sweep_axis = sweep_node.get("axis", "none")
-        sweep_values = _number_list(sweep_node, "values", "run.sweep", empty=True)
+        grid = tuple(_required(grid_node, key, "run.grid") for key in _GRID_KEYS)
+    sweep = {} if run.get("sweep") is None else _mapping(run["sweep"], _SWEEP_KEYS, "run.sweep")
+    sweep_values = sweep.get("values")
 
     return TrialConfig(
         geometry=spec,
         directions_deg=directions,
-        amplitudes=tuple(amplitudes),
-        snr_db=snr_db,
+        amplitudes=tuple(
+            _amplitude(entry, f"sources.amplitudes[{index}]")
+            for index, entry in enumerate(amplitudes)
+        ),
+        snr_db=_required(noise, "snr_db", "noise"),
         estimator=run.get("estimator"),
         grid_deg=grid,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        trials=_integer(run, "trials", "run", default=1),
-        base_seed=_integer(run, "seed", "run", default=0),
+        sweep_axis=sweep.get("axis", "none"),
+        sweep_values=() if sweep_values is None else sweep_values,
+        trials=run.get("trials", 1),
+        base_seed=run.get("seed", 0),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -60,9 +60,31 @@ def derive_seed(base_seed: int, sweep_index: int, trial_index: int) -> int:
     return _splitmix64(state ^ ((int(trial_index) + 1) & _MASK64))
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number_tuple(values, name, count=None, kind=float) -> tuple:
+    """``values`` as a tuple of ``kind``, float or complex (``count`` of them
+    if given); ConfigError for a bool, text, a mapping or a set."""
+    ordered = np.iterable(values) and not isinstance(values, (abc.Mapping, abc.Set))
+    entries = tuple(values) if ordered else None
+    number = numbers.Real if kind is float else numbers.Complex
+    all_numbers = entries is not None and all(_is_number(v, number) for v in entries)
+    if not all_numbers or count not in (None, len(entries)):
+        what = "numbers" if count is None else f"{count} numbers"
+        raise ConfigError(f"{name} must be {what}, got {values!r}")
+    return tuple(map(kind, entries))
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Recipe for building an :class:`ArrayGeometry` inside the harness."""
+    """Recipe for building an :class:`ArrayGeometry` inside the harness.
+
+    Construction refuses a value that is not a number (a bool, text or
+    None) or a fractional `seed` with `ConfigError("geometry: ...")`, and
+    stores lengths as floats and whole counts as ints; `build_geometry`
+    refuses a fractional count."""
 
     layout: str
     subarrays: int
@@ -71,6 +93,20 @@ class GeometrySpec:
     aperture: float
     wavelength: float
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("spacing", "aperture", "wavelength", "subarrays", "elements", "seed"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"geometry: {name} must be a number, got {value!r}")
+            if name in ("spacing", "aperture", "wavelength"):
+                value = float(value)
+            # build_geometry's whole-number rule; an int skips float, which 10**400 overflows.
+            elif isinstance(value, numbers.Integral) or float(value).is_integer():
+                value = int(value)
+            elif name == "seed":
+                raise ConfigError(f"geometry: seed must be a whole number, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def build(self) -> ArrayGeometry:
         return build_geometry(
@@ -84,19 +120,6 @@ class GeometrySpec:
         )
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real_tuple(values, name, count=None) -> tuple:
-    """``values`` as a tuple of real numbers (``count`` of them if given), or ConfigError."""
-    entries = tuple(values) if np.iterable(values) else None
-    if entries is None or not all(map(_is_real, entries)) or count not in (None, len(entries)):
-        what = "numbers" if count is None else f"{count} numbers"
-        raise ConfigError(f"{name} must be {what}, got {values!r}")
-    return entries
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Full description of one Monte-Carlo experiment.
@@ -107,16 +130,20 @@ class TrialConfig:
     "none" runs a single point at the configured scenario. `scenario`
     resolves one point into its directions and noise variance.
 
-    Every instance is validated on construction, whether it comes from a
-    config file, from `with_overrides` or from `dataclasses.replace`, and
-    a bad value raises `ConfigError`. The objects a run builds check their
-    own values: construction builds the geometry and the configured
-    `SourceScenario` and expands the grid, reporting their refusals as
-    "geometry: ...", "sources: ..." and "run.grid: ...", and resolves every
-    sweep point through `scenario`. This class checks the estimator, the
-    sweep axis and values, whole-number `trials` (at least 1), a
-    `base_seed` in [0, 2**64), a finite SNR, a three-number grid and fewer
-    sources than elements per subarray and than subarrays.
+    Every instance is checked and normalized on construction, the same
+    way whether it comes from a config file, `with_overrides` or
+    `dataclasses.replace`; a bad value, a bool, text or None included,
+    raises `ConfigError`. `GeometrySpec` checks its own fields, and the
+    objects a run builds check theirs: construction builds the geometry
+    and the configured `SourceScenario` and expands the grid, reporting
+    their refusals as "geometry: ...", "sources: ..." and "run.grid: ...",
+    and resolves every sweep point through `scenario`. This class checks
+    the estimator, the sweep axis and values, whole-number `trials` (at
+    least 1), a `base_seed` in [0, 2**64), nonzero amplitudes, a finite
+    SNR, a three-number grid and fewer sources than elements per subarray
+    and than subarrays. It stores every number as a Python float, complex
+    or int, so a config built in code writes the same sidecar as its YAML
+    twin.
 
     Construction keeps the geometry it builds as `array_geometry`, the one
     geometry every run of this config uses; a copy made by `replace` or
@@ -146,7 +173,7 @@ class TrialConfig:
             )
         for name in ("trials", "base_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_number(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
@@ -157,7 +184,7 @@ class TrialConfig:
             object.__setattr__(self, "array_geometry", self.geometry.build())
         except InvalidParameterError as exc:
             raise ConfigError(f"geometry: {exc}") from None
-        values = tuple(map(float, _real_tuple(self.sweep_values, "sweep_values")))
+        values = _number_tuple(self.sweep_values, "sweep_values")
         object.__setattr__(self, "sweep_values", values)
         if self.sweep_axis == "none":
             if values:
@@ -172,8 +199,16 @@ class TrialConfig:
         try:
             # Noise-free: the noise variance is checked by `scenario` below.
             SourceScenario(self.directions_deg, self.amplitudes, 0.0)
+            # SourceScenario lets numpy convert text and bools; a config does not.
+            directions = _number_tuple(self.directions_deg, "directions_deg")
+            amplitudes = _number_tuple(self.amplitudes, "amplitudes", kind=complex)
         except InvalidParameterError as exc:
             raise ConfigError(f"sources: {exc}") from None
+        # A silent source would run every trial and report a meaningless RMSE.
+        if 0 in amplitudes:
+            raise ConfigError(f"sources: amplitudes must be nonzero, got {amplitudes}")
+        object.__setattr__(self, "directions_deg", directions)
+        object.__setattr__(self, "amplitudes", amplitudes)
         if len(self.directions_deg) >= self.array_geometry.elements_per_subarray:
             raise ConfigError(
                 f"need fewer sources ({len(self.directions_deg)}) than elements "
@@ -185,13 +220,16 @@ class TrialConfig:
                 f"need fewer sources ({len(self.directions_deg)}) than "
                 f"subarrays ({self.array_geometry.subarray_count})"
             )
-        if not (_is_real(self.snr_db) and math.isfinite(self.snr_db)):
+        if not (_is_number(self.snr_db) and math.isfinite(self.snr_db)):
             raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
+        object.__setattr__(self, "snr_db", float(self.snr_db))
         if self.grid_deg is not None:
             try:
-                angle_grid(*_real_tuple(self.grid_deg, "grid", count=3))
+                grid = _number_tuple(self.grid_deg, "grid", count=3)
+                angle_grid(*grid)
             except (InvalidParameterError, DomainError) as exc:
                 raise ConfigError(f"run.grid: {exc}") from None
+            object.__setattr__(self, "grid_deg", grid)
         for value in self.sweep_values or (None,):
             self.scenario(value)
 
@@ -240,15 +278,8 @@ class TrialConfig:
             raise ConfigError(
                 "snr_db cannot be overridden on an SNR sweep: the sweep sets each point's SNR"
             )
-        changes = {}
-        if seed is not None:
-            changes["base_seed"] = seed
-        if trials is not None:
-            changes["trials"] = trials
-        if snr_db is not None:
-            changes["snr_db"] = float(snr_db)
-        if estimator is not None:
-            changes["estimator"] = estimator
+        given = {"base_seed": seed, "trials": trials, "snr_db": snr_db, "estimator": estimator}
+        changes = {name: value for name, value in given.items() if value is not None}
         return replace(self, **changes) if changes else self
 
     def trial_config(self) -> "TrialConfig":

@@ -185,6 +185,16 @@ def test_synthesize_rejects_too_many_sources():
         synthesize(geo, scen)
 
 
+def test_zero_amplitude_synthesizes_noise_only():
+    # A config refuses a zero amplitude; a bare scenario keeps it, since
+    # noise-only synthesis is legitimate.
+    geo = build_geometry("equidistant", 4, 3, 0.5, 12.0, 1.0)
+    x, _ = synthesize(geo, SourceScenario([2.0], [0.0], 0.5, seed=3))
+    noise, _ = synthesize(geo, SourceScenario([9.0], [0.0], 0.5, seed=3))
+    np.testing.assert_array_equal(x.data, noise.data)
+    assert np.abs(x.data).max() > 0
+
+
 def test_scenario_warns_on_mixed_sides():
     with pytest.warns(UserWarning):
         SourceScenario([-3.0, 4.0], [1.0, 1.0], 0.0)

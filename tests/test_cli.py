@@ -491,6 +491,21 @@ class TestErrors:
         assert "subarrays (2)" in capsys.readouterr().err
         assert not (out / "rmse.csv").exists()
 
+    def test_zero_amplitude_refused_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # A silent source used to run every trial and exit 0: RMSE 10-13 deg
+        # at every SNR, resolve rate 0 and no failed trial.
+        text = resources.files("pcdoa").joinpath("configs").joinpath("fig6a.yaml").read_text()
+        path = tmp_path / "fig6a_silent.yaml"
+        path.write_text(text.replace("magnitude: 1.0", "magnitude: 0.0"))
+        calls = []
+        monkeypatch.setattr(harness, "trial_snapshot", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        argv = ("montecarlo", "--config", str(path), "--trials", "3", "--seed", "7")
+        assert run(*argv, "--out", str(out)) == 2
+        assert calls == []
+        assert "sources: amplitudes must be nonzero" in capsys.readouterr().err
+        assert not (out / "rmse.csv").exists()
+
     @pytest.mark.parametrize(
         "edit", list(EXPERIMENT_EDITS.values()), ids=list(EXPERIMENT_EDITS)
     )

@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import json
 import math
 from importlib import resources
 
@@ -11,6 +13,7 @@ from pcdoa.config import (
     parse_config,
 )
 from pcdoa.errors import ConfigError
+from pcdoa.harness import GeometrySpec, TrialConfig
 
 MINIMAL = """
 geometry:
@@ -171,7 +174,7 @@ class TestParse:
 
     def test_quoted_exponent_stays_text(self):
         text = MINIMAL + '  grid: {start_deg: -5.0, stop_deg: 5.0, step_deg: "5e-2"}\n'
-        with pytest.raises(ConfigError, match="'run.grid.step_deg' must be a number"):
+        with pytest.raises(ConfigError, match=r"run.grid: grid must be 3 numbers, got .*'5e-2'"):
             parse_config(text)
 
     def test_count_mismatch(self):
@@ -191,8 +194,12 @@ class TestParse:
             ("  sweep: {axis: snr, values: [20.0, 10.0]}\n", "sorted"),
             ("  sweep: {axis: none, values: [1.0]}\n", "empty"),
             ("  sweep: {axis: separation}\n", "needs sweep_values"),
+            # A mapping or set has no order; both used to be refused as not a list.
+            ("  sweep: {axis: snr, values: {10.0: x}}\n", "sweep_values must be numbers"),
+            ("  sweep: {axis: snr, values: !!set {10.0}}\n", "sweep_values must be numbers"),
         ],
-        ids=["zero-trials", "unsorted-sweep", "values-without-axis", "axis-without-values"],
+        ids=["zero-trials", "unsorted-sweep", "values-without-axis", "axis-without-values",
+             "mapping-sweep", "set-sweep"],
     )
     def test_bad_values_rejected_at_load(self, run_lines, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -201,18 +208,25 @@ class TestParse:
     @pytest.mark.parametrize(
         "text,message",
         [
-            (MINIMAL.replace("[2.0, 9.0]", "2.0"), "sources.directions_deg must be a list"),
+            # The values are checked by TrialConfig, as for a config built in code.
+            (
+                MINIMAL.replace("[2.0, 9.0]", "2.0"),
+                "sources: directions_deg must be a 1-D sequence",
+            ),
             (
                 MINIMAL.replace("[2.0, 9.0]", "[2.0, true]"),
-                "sources.directions_deg entries must be numbers",
+                "sources: directions_deg must be numbers, got [2.0, True]",
             ),
-            (MINIMAL + "  sweep: {axis: snr, values: 10.0}\n", "run.sweep.values must be a list"),
+            (
+                MINIMAL + "  sweep: {axis: snr, values: 10.0}\n",
+                "sweep_values must be numbers, got 10.0",
+            ),
             (
                 MINIMAL + "  sweep: {axis: snr, values: [10.0, x]}\n",
-                "run.sweep.values entries must be numbers",
+                "sweep_values must be numbers, got [10.0, 'x']",
             ),
             (MINIMAL.replace("  subarrays: 4\n", ""), "'geometry' is missing 'subarrays'"),
-            (MINIMAL + "  trials: 2.5\n", "'run.trials' must be an integer"),
+            (MINIMAL + "  trials: 2.5\n", "trials must be an integer, got 2.5"),
         ],
         ids=[
             "directions-scalar",
@@ -442,6 +456,11 @@ class TestReplace:
             ({"subarrays": 5.7}, "geometry: subarray_count and elements_per_subarray must be whole"),
             ({"elements": 3.5}, "geometry: subarray_count and elements_per_subarray must be whole"),
             ({"layout": "spiral"}, "geometry: unknown layout 'spiral'"),
+            # ArrayGeometry's rule; build_geometry no longer repeats it.
+            ({"wavelength": 0.0}, "geometry: wavelength must be positive and finite"),
+            ({"wavelength": math.inf}, "geometry: wavelength must be positive and finite"),
+            # The random layout used to end in numpy's OverflowError.
+            ({"layout": "uniform_random", "aperture": math.inf}, "geometry: aperture must be finite"),
             # These used to allocate the displacements first and end in
             # numpy's MemoryError or an OverflowError.
             (
@@ -458,6 +477,9 @@ class TestReplace:
             "fractional-subarrays",
             "fractional-elements",
             "unknown-layout",
+            "zero-wavelength",
+            "inf-wavelength",
+            "inf-random-aperture",
             "1e11-subarrays",
             "1e400-subarrays",
             "just-over-the-cap",
@@ -471,6 +493,97 @@ class TestReplace:
             dataclasses.replace(config, geometry=dataclasses.replace(config.geometry, **changes))
 
 
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"spacing": "0.5"}, "geometry: spacing must be a number, got '0.5'"),
+            ({"aperture": None}, "geometry: aperture must be a number, got None"),
+            (
+                {"layout": "uniform_random", "seed": "3"},
+                "geometry: seed must be a number, got '3'",
+            ),
+            ({"subarrays": "10"}, "geometry: subarrays must be a number, got '10'"),
+            ({"wavelength": True}, "geometry: wavelength must be a number, got True"),
+            ({"seed": 2.5}, "geometry: seed must be a whole number, got 2.5"),
+        ],
+        ids=["text-spacing", "none-aperture", "text-seed", "text-subarrays", "bool-wavelength",
+             "fractional-seed"],
+    )
+    def test_geometry_value_that_is_not_a_number(self, changes, message):
+        # Text spacing, a None aperture and a text seed used to end in a bare
+        # TypeError; text subarrays, a bool wavelength and a fractional seed
+        # were accepted.
+        geometry = load_packaged_config("fig6a").geometry
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(geometry, **changes)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (
+                {"directions_deg": ("1.2", "14.2")},
+                "sources: directions_deg must be numbers, got ('1.2', '14.2')",
+            ),
+            (
+                {"directions_deg": (True, 14.2)},
+                "sources: directions_deg must be numbers, got (True, 14.2)",
+            ),
+            ({"amplitudes": ("1", "3j")}, "sources: amplitudes must be numbers, got ('1', '3j')"),
+            ({"amplitudes": (0, 3j)}, "sources: amplitudes must be nonzero, got (0j, 3j)"),
+        ],
+        ids=["text-directions", "bool-direction", "text-amplitudes", "zero-amplitude"],
+    )
+    def test_source_value_numpy_would_convert(self, changes, message):
+        # Each used to be accepted; text then made `as_dict()` raise, and a
+        # silent source ran every trial to a meaningless RMSE.
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(load_packaged_config("fig6a"), **changes)
+        assert str(info.value) == message
+
+
+class TestNormalized:
+    """A config built in code is stored as the same config read from YAML."""
+
+    def test_whole_float_geometry_counts_load_as_ints(self):
+        text = (
+            MINIMAL.replace("subarrays: 4", "subarrays: 4.0")
+            .replace("elements: 3", "elements: 3.0")
+            .replace("wavelength: 1.0", "wavelength: 1.0\n  seed: 2.0")
+        )
+        geometry = parse_config(text).geometry
+        assert (geometry.subarrays, geometry.elements, geometry.seed) == (4, 3, 2)
+        assert {type(n) for n in (geometry.subarrays, geometry.elements, geometry.seed)} == {int}
+
+    def test_code_built_twin_writes_the_packaged_sidecar(self):
+        # The twin compared equal before, but its sidecar wrote 450, 20 and 0
+        # where the YAML run writes 450.0, 20.0 and 0.0.
+        fig5a = load_packaged_config("fig5a")
+        twin = TrialConfig(
+            geometry=GeometrySpec("equidistant", 10, 10, 0.5, 450, 1),
+            directions_deg=(1.2, 14.2),
+            amplitudes=(cmath.rect(1, math.radians(36)), cmath.rect(3, math.radians(108))),
+            snr_db=20,
+            estimator="bss_nls",
+            grid_deg=(0, 16, 0.01),
+        )
+        assert twin == fig5a
+        assert json.dumps(twin.as_dict()) == json.dumps(fig5a.as_dict())
+
+    def test_numpy_values_stored_as_python_numbers(self):
+        base = parse_config(MINIMAL)
+        config = dataclasses.replace(
+            base,
+            directions_deg=np.array([2.0, 9.0]),
+            amplitudes=np.array(base.amplitudes),
+            snr_db=np.float32(20.0),
+        )
+        assert config == base
+        assert type(config.snr_db) is float
+        assert {type(v) for v in config.directions_deg} == {float}
+        assert {type(v) for v in config.amplitudes} == {complex}
+
+
 class TestRoundTrip:
     def test_as_dict_reparses_identically(self):
         import yaml
@@ -478,6 +591,12 @@ class TestRoundTrip:
         cfg = parse_config(MINIMAL)
         again = parse_config(yaml.safe_dump(cfg.as_dict()))
         assert again == cfg
+
+    @pytest.mark.parametrize("name", sorted(packaged_config_names()))
+    def test_sidecar_json_reparses_identically(self, name):
+        # The CLI writes `as_dict()` as JSON, which is YAML too.
+        config = load_packaged_config(name)
+        assert parse_config(json.dumps(config.as_dict())) == config
 
     def test_phase_preserved(self):
         cfg = parse_config(MINIMAL)
