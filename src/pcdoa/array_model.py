@@ -17,12 +17,21 @@ reads its input matrix through `_matrix`, from a record's field or a bare
 array, as a nonempty 2-D complex matrix. Entries that are not numbers
 or not finite, ragged input, the wrong rank and empty input all raise
 `InvalidParameterError`.
+
+Parameters cross the library boundary by one number rule (`_number`,
+`_numbers`, `_whole`): a number is a `numbers.Real`, or a `numbers.Complex`
+for an amplitude, that is not a bool and fits a float (a count or seed may
+be any whole number); it comes back as a Python number. Anything else,
+text and None included, raises `InvalidParameterError`.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 import warnings
+from collections import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,7 @@ import numpy as np
 from .errors import IdentifiabilityError, InvalidParameterError
 
 _MAX_ELEMENTS = 1_000_000  # 10**4 times the largest packaged array (10 x 10)
+_CONVERT = {numbers.Integral: int, numbers.Real: float, numbers.Complex: complex}
 
 __all__ = [
     "ArrayGeometry",
@@ -41,6 +51,53 @@ __all__ = [
     "phase_offset",
     "synthesize",
 ]
+
+
+def _number(value, name, kind=numbers.Real, finite=False):
+    """``value`` as the Python int, float or complex of ``kind``
+    (`numbers.Integral`, `numbers.Real` or `numbers.Complex`);
+    InvalidParameterError for a bool, anything else that is not a ``kind``,
+    an integer too large for a float and, with ``finite``, nan or inf."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        try:
+            number = _CONVERT[kind](value)
+            if not finite or cmath.isfinite(number):
+                return number
+        except OverflowError:
+            pass
+    what = "an integer" if kind is numbers.Integral else "a finite number" if finite else "a number"
+    raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+
+
+def _numbers(values, name, kind=numbers.Real, count=None):
+    """``values`` as a tuple of `_number` entries of ``kind``, ``count`` of
+    them if given; InvalidParameterError for a value that is not an ordered
+    sequence (a single number, text, a mapping or a set) or holds any other
+    entry."""
+    ordered = np.iterable(values) and not isinstance(values, (str, bytes, abc.Mapping, abc.Set))
+    try:
+        entries = tuple(_number(value, name, kind) for value in values) if ordered else None
+    except InvalidParameterError:
+        entries = None
+    if entries is None or count not in (None, len(entries)):
+        what = "numbers" if count is None else f"{count} numbers"
+        raise InvalidParameterError(f"{name} must be {what}, got {values!r}")
+    return entries
+
+
+def _whole(value, name, fraction=False):
+    """``value`` as an int when it is a whole number: an integer of any size
+    or a `_number` float such as 4.0. A fraction raises
+    InvalidParameterError, or with ``fraction`` comes back as its float for
+    the caller to refuse in its own words."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    number = _number(value, name)
+    if number.is_integer():
+        return int(number)
+    if not fraction:
+        raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
+    return number
 
 
 def _frozen(values, dtype, name):
@@ -108,7 +165,8 @@ class ArrayGeometry:
     inter_displacements: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
+        wavelength = _number(self.wavelength, "wavelength")
+        if not (np.isfinite(wavelength) and wavelength > 0):
             raise InvalidParameterError("wavelength must be positive and finite")
         eta = _frozen_float_array(self.intra_displacements, "intra_displacements")
         xi = _frozen_float_array(self.inter_displacements, "inter_displacements")
@@ -120,6 +178,7 @@ class ArrayGeometry:
             raise InvalidParameterError(
                 "first intra and inter displacement must both be 0"
             )
+        object.__setattr__(self, "wavelength", wavelength)
         object.__setattr__(self, "intra_displacements", eta)
         object.__setattr__(self, "inter_displacements", xi)
 
@@ -175,23 +234,30 @@ class SourceScenario:
     seed: int = 0
 
     def __post_init__(self):
-        theta = _frozen_float_array(self.directions_deg, "directions_deg")
-        if theta.size < 1:
+        if not np.iterable(self.directions_deg):
+            raise InvalidParameterError("directions_deg must be a 1-D sequence")
+        # Plain Python checks the rule's few entries faster than numpy would.
+        theta = _numbers(self.directions_deg, "directions_deg")
+        if not theta:
             raise InvalidParameterError("need at least one source")
-        if not (np.abs(theta) < 90.0).all():
+        if not all(map(math.isfinite, theta)):
+            raise InvalidParameterError("directions_deg must be finite")
+        if not all(abs(t) < 90.0 for t in theta):
             raise InvalidParameterError(
-                f"directions_deg must lie strictly inside (-90, 90) degrees, got {theta.tolist()}"
+                f"directions_deg must lie strictly inside (-90, 90) degrees, got {list(theta)}"
             )
-        amp = _frozen(self.amplitudes, complex, "amplitudes")
-        if amp.shape != theta.shape:
+        amp = _numbers(self.amplitudes, "amplitudes", numbers.Complex)
+        if len(amp) != len(theta):
             raise InvalidParameterError("amplitudes must match directions in length")
-        if not np.isfinite(amp).all():
+        if not all(map(cmath.isfinite, amp)):
             raise InvalidParameterError("amplitudes must be finite")
-        if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
+        noise_variance = _number(self.noise_variance, "noise_variance")
+        if not (math.isfinite(noise_variance) and noise_variance >= 0):
             raise InvalidParameterError("noise_variance must be nonnegative")
-        if int(self.seed) != self.seed or self.seed < 0:
+        seed = _whole(self.seed, "seed", fraction=True)
+        if not (isinstance(seed, int) and seed >= 0):
             raise InvalidParameterError("seed must be a nonnegative integer")
-        if (theta > 0).any() and (theta < 0).any():
+        if max(theta) > 0 > min(theta):
             # The model assumes all sources on one side of broadside.
             warnings.warn(
                 "directions span both sides of broadside; the single-side "
@@ -199,10 +265,10 @@ class SourceScenario:
                 UserWarning,
                 stacklevel=3,  # past the dataclass __init__ to its caller
             )
-        object.__setattr__(self, "directions_deg", theta)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "directions_deg", _frozen(theta, float, "directions_deg"))
+        object.__setattr__(self, "amplitudes", _frozen(amp, complex, "amplitudes"))
+        object.__setattr__(self, "noise_variance", noise_variance)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def source_count(self) -> int:
@@ -258,8 +324,8 @@ def build_geometry(
     wavelength : float
         Carrier wavelength.
     seed : int, optional
-        Non-negative seed for the random layout; ignored for the
-        equidistant one.
+        Non-negative whole-number seed for the random layout; the
+        equidistant one checks it like any argument but does not use it.
 
     Returns
     -------
@@ -267,40 +333,43 @@ def build_geometry(
     """
     if layout not in ("equidistant", "uniform_random"):
         raise InvalidParameterError(f"unknown layout {layout!r}")
-    counts = (subarray_count, elements_per_subarray)
     # An integer beyond float range is whole; the size rule below refuses it.
-    if not all(isinstance(n, numbers.Integral) or float(n).is_integer() for n in counts):
+    k_count = _whole(subarray_count, "subarray_count", fraction=True)
+    m_count = _whole(elements_per_subarray, "elements_per_subarray", fraction=True)
+    if not (isinstance(k_count, int) and isinstance(m_count, int)):
         raise InvalidParameterError(
             f"subarray_count and elements_per_subarray must be whole numbers, got "
             f"{subarray_count!r} and {elements_per_subarray!r}"
         )
-    k_count = int(subarray_count)
-    m_count = int(elements_per_subarray)
     if k_count < 2 or m_count < 2:
         raise InvalidParameterError("need subarray_count >= 2 and elements_per_subarray >= 2")
     if k_count * m_count > _MAX_ELEMENTS:
         raise InvalidParameterError(
             f"{k_count} subarrays of {m_count} elements exceed {_MAX_ELEMENTS} elements"
         )
+    element_spacing = _number(element_spacing, "element_spacing")
+    aperture = _number(aperture, "aperture")
     if not (element_spacing > 0):
         raise InvalidParameterError("element_spacing must be positive")
     if not ((m_count - 1) * element_spacing < aperture < np.inf):
         raise InvalidParameterError(
             "aperture must be finite and exceed the subarray length (M-1)*element_spacing"
         )
+    if seed is not None:
+        seed = _whole(seed, "seed")
     if layout == "uniform_random" and seed is not None and seed < 0:
         raise InvalidParameterError(f"uniform_random seed must be non-negative, got {seed}")
-    eta = np.arange(m_count) * float(element_spacing)
+    eta = np.arange(m_count) * element_spacing
     if layout == "equidistant":
-        xi = np.arange(k_count) * (float(aperture) / (k_count - 1))
+        xi = np.arange(k_count) * (aperture / (k_count - 1))
     else:
         rng = np.random.default_rng(seed)
-        xi = np.concatenate(([0.0], rng.uniform(0.0, float(aperture), k_count - 1)))
+        xi = np.concatenate(([0.0], rng.uniform(0.0, aperture, k_count - 1)))
     return ArrayGeometry(wavelength, eta, xi)
 
 
 def _check_direction_deg(direction_deg):
-    theta = float(direction_deg)
+    theta = _number(direction_deg, "direction")
     if not (-90.0 < theta < 90.0):
         raise InvalidParameterError("direction must lie strictly inside (-90, 90) degrees")
     return np.radians(theta)
@@ -320,7 +389,7 @@ def phase_offset(inter_displacement, direction_deg, wavelength):
 
     Accepts a scalar or an array of offsets and broadcasts over them.
     """
-    if not (wavelength > 0):
+    if not (_number(wavelength, "wavelength") > 0):
         raise InvalidParameterError("wavelength must be positive")
     theta = _check_direction_deg(direction_deg)
     xi = np.asarray(inter_displacement, dtype=float)

@@ -1,19 +1,16 @@
 """Experiment configuration files.
 
 A config is one YAML document with four blocks: `geometry`, `sources`,
-`noise` and `run`. It loads as one `harness.TrialConfig` and is fully
-validated at load. `parse_config` checks only the YAML shape: a block
-that is not a mapping, an unknown key or a missing one, so typos fail
-loudly instead of silently running a different experiment. It also turns
-each polar amplitude (`magnitude`, `phase_deg`) into a complex number.
-Every value is checked and normalized once, by `GeometrySpec` and
-`TrialConfig`, the same way as for a config built in code; each error is
-a `ConfigError` that names its block ("geometry: ...", "sources: ...",
-"run.grid: ..."). README's "Config format" section lists every rule.
-Overrides go through `TrialConfig.with_overrides`, which validates the
-same way. Snapshot files (the CLI's `--add`, read by `estimate` and
-`ingest` only) are not part of a config. The packaged `configs/`
-directory holds one file per reproducible figure-style run.
+`noise` and `run`, loaded and fully validated as one `harness.TrialConfig`.
+`parse_config` checks only the YAML shape (a block that is not a mapping,
+an unknown key or a missing one, so typos fail loudly) and turns each
+polar amplitude (`magnitude`, `phase_deg`) into a complex number. Every
+value is read by the library's number rule and checked once, by
+`GeometrySpec` and `TrialConfig`, as for a config built in code; each
+refusal is a `ConfigError` that names its block. README's "Config format"
+section lists every rule. Snapshot files (the CLI's `--add`) are not part
+of a config. The packaged `configs/` directory holds one file per
+reproducible figure-style run.
 """
 
 from __future__ import annotations
@@ -26,15 +23,15 @@ from typing import Tuple
 
 import yaml
 
+from .array_model import _number
 from .errors import ConfigError
-from .harness import GeometrySpec, TrialConfig
+from .harness import _GRID_KEYS, GeometrySpec, TrialConfig, _config_error
 
 _GEOMETRY_KEYS = {f.name for f in dataclasses.fields(GeometrySpec)}
 _SOURCES_KEYS = {"directions_deg", "amplitudes"}
 _AMPLITUDE_KEYS = {"magnitude", "phase_deg"}
 _NOISE_KEYS = {"snr_db"}
 _RUN_KEYS = {"estimator", "grid", "seed", "trials", "sweep"}
-_GRID_KEYS = ("start_deg", "stop_deg", "step_deg")
 _SWEEP_KEYS = {"axis", "values"}
 _TOP_KEYS = {"geometry", "sources", "noise", "run"}
 
@@ -74,12 +71,10 @@ def _amplitude(entry, where) -> complex:
     """One {magnitude, phase_deg} entry as a complex amplitude."""
     entry = _mapping(entry, _AMPLITUDE_KEYS, where)
     magnitude, phase_deg = (_required(entry, key, where) for key in ("magnitude", "phase_deg"))
-    for key, value in (("magnitude", magnitude), ("phase_deg", phase_deg)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{where}.{key}' must be a number")
-    if not math.isfinite(phase_deg):  # math.cos raises on an infinite angle
-        raise ConfigError(f"'{where}.phase_deg' must be finite")
-    phase = math.radians(phase_deg)
+    with _config_error():
+        magnitude = _number(magnitude, f"'{where}.magnitude'")
+        # math.cos raises on an infinite angle.
+        phase = math.radians(_number(phase_deg, f"'{where}.phase_deg'", finite=True))
     return magnitude * complex(math.cos(phase), math.sin(phase))
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter, abc
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +25,9 @@ from .array_model import (
     ArrayGeometry,
     MeasurementMatrix,
     SourceScenario,
+    _number,
+    _numbers,
+    _whole,
     build_geometry,
     synthesize,
 )
@@ -34,6 +38,7 @@ from .jade import jade_separate
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+_GRID_KEYS = ("start_deg", "stop_deg", "step_deg")  # the config's run.grid, in order
 
 
 def _splitmix64(state: int) -> int:
@@ -60,31 +65,25 @@ def derive_seed(base_seed: int, sweep_index: int, trial_index: int) -> int:
     return _splitmix64(state ^ ((int(trial_index) + 1) & _MASK64))
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _number_tuple(values, name, count=None, kind=float) -> tuple:
-    """``values`` as a tuple of ``kind``, float or complex (``count`` of them
-    if given); ConfigError for a bool, text, a mapping or a set."""
-    ordered = np.iterable(values) and not isinstance(values, (abc.Mapping, abc.Set))
-    entries = tuple(values) if ordered else None
-    number = numbers.Real if kind is float else numbers.Complex
-    all_numbers = entries is not None and all(_is_number(v, number) for v in entries)
-    if not all_numbers or count not in (None, len(entries)):
-        what = "numbers" if count is None else f"{count} numbers"
-        raise ConfigError(f"{name} must be {what}, got {values!r}")
-    return tuple(map(kind, entries))
+@contextmanager
+def _config_error(prefix="", errors=InvalidParameterError):
+    """Report ``errors`` raised inside as a `ConfigError` whose message
+    starts with ``prefix``, the config block that holds the value."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
     """Recipe for building an :class:`ArrayGeometry` inside the harness.
 
-    Construction refuses a value that is not a number (a bool, text or
-    None) or a fractional `seed` with `ConfigError("geometry: ...")`, and
-    stores lengths as floats and whole counts as ints; `build_geometry`
-    refuses a fractional count."""
+    Construction reads every field by `array_model`'s number rule, refuses
+    a fractional `seed` and stores lengths as floats and whole counts as
+    ints, so the sidecar writes them as YAML does; a refusal is a
+    `ConfigError("geometry: ...")`. `build_geometry` refuses a fractional
+    count."""
 
     layout: str
     subarrays: int
@@ -95,18 +94,13 @@ class GeometrySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("spacing", "aperture", "wavelength", "subarrays", "elements", "seed"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"geometry: {name} must be a number, got {value!r}")
-            if name in ("spacing", "aperture", "wavelength"):
-                value = float(value)
-            # build_geometry's whole-number rule; an int skips float, which 10**400 overflows.
-            elif isinstance(value, numbers.Integral) or float(value).is_integer():
-                value = int(value)
-            elif name == "seed":
-                raise ConfigError(f"geometry: seed must be a whole number, got {value!r}")
-            object.__setattr__(self, name, value)
+        with _config_error("geometry: "):
+            for name in ("spacing", "aperture", "wavelength"):
+                object.__setattr__(self, name, _number(getattr(self, name), name))
+            for name in ("subarrays", "elements"):
+                value = _whole(getattr(self, name), name, fraction=True)
+                object.__setattr__(self, name, value)
+            object.__setattr__(self, "seed", _whole(self.seed, "seed"))
 
     def build(self) -> ArrayGeometry:
         return build_geometry(
@@ -132,18 +126,14 @@ class TrialConfig:
 
     Every instance is checked and normalized on construction, the same
     way whether it comes from a config file, `with_overrides` or
-    `dataclasses.replace`; a bad value, a bool, text or None included,
-    raises `ConfigError`. `GeometrySpec` checks its own fields, and the
-    objects a run builds check theirs: construction builds the geometry
-    and the configured `SourceScenario` and expands the grid, reporting
-    their refusals as "geometry: ...", "sources: ..." and "run.grid: ...",
-    and resolves every sweep point through `scenario`. This class checks
-    the estimator, the sweep axis and values, whole-number `trials` (at
-    least 1), a `base_seed` in [0, 2**64), nonzero amplitudes, a finite
-    SNR, a three-number grid and fewer sources than elements per subarray
-    and than subarrays. It stores every number as a Python float, complex
-    or int, so a config built in code writes the same sidecar as its YAML
-    twin.
+    `dataclasses.replace`; a bad value raises `ConfigError`. Construction
+    builds the geometry and the configured `SourceScenario` and expands
+    the grid, reporting their refusals as "geometry: ...", "sources: ..."
+    and "run.grid: ...", reads its other numbers by `array_model`'s number
+    rule and resolves every sweep point through `scenario`. README's
+    "Config format" lists every rule. Every number is stored as a Python
+    float, complex or int, so a config built in code writes the same
+    sidecar as its YAML twin.
 
     Construction keeps the geometry it builds as `array_geometry`, the one
     geometry every run of this config uses; a copy made by `replace` or
@@ -171,64 +161,51 @@ class TrialConfig:
             raise ConfigError(
                 f"sweep_axis must be 'none', 'snr' or 'separation', got {self.sweep_axis!r}"
             )
-        for name in ("trials", "base_seed"):
-            value = getattr(self, name)
-            if not _is_number(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        with _config_error():
+            for name in ("trials", "base_seed"):
+                value = _number(getattr(self, name), name, numbers.Integral)
+                object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if not 0 <= self.base_seed <= _MASK64:
             raise ConfigError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
-        try:
+        with _config_error("geometry: "):
             object.__setattr__(self, "array_geometry", self.geometry.build())
-        except InvalidParameterError as exc:
-            raise ConfigError(f"geometry: {exc}") from None
-        values = _number_tuple(self.sweep_values, "sweep_values")
+        with _config_error():
+            values = _numbers(self.sweep_values, "sweep_values")
         object.__setattr__(self, "sweep_values", values)
-        if self.sweep_axis == "none":
-            if values:
-                raise ConfigError("sweep_values must be empty when sweep_axis is 'none'")
-        else:
-            if not values:
-                raise ConfigError(f"sweep_axis {self.sweep_axis!r} needs sweep_values")
-            if not np.all(np.isfinite(values)):
-                raise ConfigError("sweep_values must be finite")
-            if np.any(np.diff(values) < 0):
-                raise ConfigError("sweep_values must be sorted ascending")
-        try:
+        if self.sweep_axis == "none" and values:
+            raise ConfigError("sweep_values must be empty when sweep_axis is 'none'")
+        if self.sweep_axis != "none" and not values:
+            raise ConfigError(f"sweep_axis {self.sweep_axis!r} needs sweep_values")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("sweep_values must be finite")
+        if values != tuple(sorted(values)):
+            raise ConfigError("sweep_values must be sorted ascending")
+        with _config_error("sources: "):
             # Noise-free: the noise variance is checked by `scenario` below.
-            SourceScenario(self.directions_deg, self.amplitudes, 0.0)
-            # SourceScenario lets numpy convert text and bools; a config does not.
-            directions = _number_tuple(self.directions_deg, "directions_deg")
-            amplitudes = _number_tuple(self.amplitudes, "amplitudes", kind=complex)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"sources: {exc}") from None
+            sources = SourceScenario(self.directions_deg, self.amplitudes, 0.0)
+        object.__setattr__(self, "directions_deg", tuple(sources.directions_deg.tolist()))
+        object.__setattr__(self, "amplitudes", tuple(sources.amplitudes.tolist()))
         # A silent source would run every trial and report a meaningless RMSE.
-        if 0 in amplitudes:
-            raise ConfigError(f"sources: amplitudes must be nonzero, got {amplitudes}")
-        object.__setattr__(self, "directions_deg", directions)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        if len(self.directions_deg) >= self.array_geometry.elements_per_subarray:
-            raise ConfigError(
-                f"need fewer sources ({len(self.directions_deg)}) than elements "
-                f"per subarray ({self.array_geometry.elements_per_subarray})"
-            )
-        # JADE's cumulants take the K subarray snapshots as their samples.
-        if len(self.directions_deg) >= self.array_geometry.subarray_count:
-            raise ConfigError(
-                f"need fewer sources ({len(self.directions_deg)}) than "
-                f"subarrays ({self.array_geometry.subarray_count})"
-            )
-        if not (_is_number(self.snr_db) and math.isfinite(self.snr_db)):
-            raise ConfigError(f"snr_db must be a finite number, got {self.snr_db!r}")
-        object.__setattr__(self, "snr_db", float(self.snr_db))
+        if 0 in self.amplitudes:
+            raise ConfigError(f"sources: amplitudes must be nonzero, got {self.amplitudes}")
+        geometry = self.array_geometry
+        # Identifiability, and JADE's cumulants take the K snapshots as samples.
+        for limit, what in (
+            (geometry.elements_per_subarray, "elements per subarray"),
+            (geometry.subarray_count, "subarrays"),
+        ):
+            if sources.source_count >= limit:
+                raise ConfigError(
+                    f"need fewer sources ({sources.source_count}) than {what} ({limit})"
+                )
+        with _config_error():
+            object.__setattr__(self, "snr_db", _number(self.snr_db, "snr_db", finite=True))
         if self.grid_deg is not None:
-            try:
-                grid = _number_tuple(self.grid_deg, "grid", count=3)
+            with _config_error("run.grid: ", (InvalidParameterError, DomainError)):
+                grid = _numbers(self.grid_deg, "grid", count=3)
                 angle_grid(*grid)
-            except (InvalidParameterError, DomainError) as exc:
-                raise ConfigError(f"run.grid: {exc}") from None
             object.__setattr__(self, "grid_deg", grid)
         for value in self.sweep_values or (None,):
             self.scenario(value)
@@ -307,15 +284,7 @@ class TrialConfig:
             "noise": {"snr_db": self.snr_db},
             "run": {
                 "estimator": self.estimator,
-                "grid": (
-                    None
-                    if self.grid_deg is None
-                    else {
-                        "start_deg": self.grid_deg[0],
-                        "stop_deg": self.grid_deg[1],
-                        "step_deg": self.grid_deg[2],
-                    }
-                ),
+                "grid": None if self.grid_deg is None else dict(zip(_GRID_KEYS, self.grid_deg)),
                 "seed": self.base_seed,
                 "trials": self.trials,
                 "sweep": {

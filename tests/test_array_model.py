@@ -94,6 +94,89 @@ def test_build_geometry_accepts_whole_float_counts():
     assert (geo.subarray_count, geo.elements_per_subarray) == (10, 4)
 
 
+BIG = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: SourceScenario(("1.2", "14.2"), ("1", "3j"), 0.0),
+            "directions_deg must be numbers, got ('1.2', '14.2')",
+        ),
+        (
+            lambda: SourceScenario((True, 14.2), (1, 3), 0.0),
+            "directions_deg must be numbers, got (True, 14.2)",
+        ),
+        (
+            lambda: SourceScenario((1.2, 14.2), ("1", "3j"), 0.0),
+            "amplitudes must be numbers, got ('1', '3j')",
+        ),
+        (
+            lambda: SourceScenario((1.2, 14.2), (1, 3), True),
+            "noise_variance must be a number, got True",
+        ),
+        (
+            lambda: SourceScenario((1.2, 14.2), (1, 3), 0.0, seed=True),
+            "seed must be a number, got True",
+        ),
+        (
+            lambda: SourceScenario((1.2, BIG), (1, 3), 0.0),
+            f"directions_deg must be numbers, got (1.2, {BIG})",
+        ),
+        (
+            lambda: build_geometry("equidistant", 10, 10, "0.5", 450, 1),
+            "element_spacing must be a number, got '0.5'",
+        ),
+        (
+            lambda: build_geometry("equidistant", 10, 10, True, 450, 1),
+            "element_spacing must be a number, got True",
+        ),
+        (
+            lambda: build_geometry("equidistant", 10, 10, 0.5, BIG, 1),
+            f"aperture must be a number, got {BIG}",
+        ),
+        (
+            lambda: build_geometry("equidistant", "10", 10, 0.5, 450, 1),
+            "subarray_count must be a number, got '10'",
+        ),
+        (
+            lambda: build_geometry("uniform_random", 10, 10, 0.5, 450, 1, seed=True),
+            "seed must be a number, got True",
+        ),
+        (
+            lambda: build_geometry("equidistant", 10, 10, 0.5, 450, True),
+            "wavelength must be a number, got True",
+        ),
+        (
+            lambda: ArrayGeometry("1.0", [0.0, 0.5], [0.0, 5.0]),
+            "wavelength must be a number, got '1.0'",
+        ),
+    ],
+    ids=[
+        "text-sources", "bool-direction", "text-amplitudes", "bool-noise-variance",
+        "bool-seed", "401-digit-direction", "text-spacing", "bool-spacing",
+        "401-digit-aperture", "text-count", "bool-random-seed", "bool-wavelength",
+        "text-wavelength",
+    ],
+)
+def test_parameters_refuse_bools_text_and_overflow(call, message):
+    # Each used to be accepted (numpy converted text and bools), or to end
+    # in a bare TypeError or OverflowError.
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_parameters_store_python_numbers():
+    scenario = SourceScenario(np.array([1.2, 14.2]), (1, 3j), np.float32(0.5), seed=np.uint64(7))
+    geometry = build_geometry("equidistant", 10.0, np.int64(10), 0.5, 450, 1)
+    assert scenario.directions_deg.tolist() == [1.2, 14.2]
+    assert scenario.amplitudes.tolist() == [1, 3j]
+    assert (type(scenario.noise_variance), type(scenario.seed)) == (float, int)
+    assert type(geometry.wavelength) is float
+
+
 def test_geometry_requires_zero_references():
     with pytest.raises(InvalidParameterError):
         ArrayGeometry(1.0, [0.1, 0.5], [0.0, 10.0])

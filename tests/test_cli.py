@@ -33,6 +33,8 @@ run:
 """
 
 
+BIG = "1" + "0" * 400  # an integer too large for a float
+
 # Edits of the packaged `experiment` config that give invalid values.
 EXPERIMENT_EDITS = {
     "nan-direction": ("directions_deg: [0.63, 6.65]", "directions_deg: [.nan, 6.65]"),
@@ -46,6 +48,13 @@ EXPERIMENT_EDITS = {
     "no-directions": ("directions_deg: [0.63, 6.65]", "directions_deg: []"),
     # Used to exit 1 with numpy's MemoryError for 745 GiB.
     "1e11-subarrays": ("subarrays: 5", "subarrays: 100000000000"),
+    # These used to exit 1 with an OverflowError traceback.
+    "401-digit-snr": ("snr_db: 30.0", f"snr_db: {BIG}"),
+    "401-digit-spacing": ("spacing: 1.0", f"spacing: {BIG}"),
+    "401-digit-direction": ("directions_deg: [0.63, 6.65]", f"directions_deg: [0.63, {BIG}]"),
+    "401-digit-grid-step": ("step_deg: 0.05", f"step_deg: {BIG}"),
+    "401-digit-magnitude": ("magnitude: 1.0", f"magnitude: {BIG}"),
+    "401-digit-phase": ("phase_deg: 0.0", f"phase_deg: {BIG}"),
 }
 
 
@@ -413,6 +422,13 @@ class TestErrors:
         side = json.loads((tmp_path / "orthogonality.json").read_text())
         assert side["config"]["noise"]["snr_db"] == 10.0
 
+    def test_negative_exponent_snr_override(self, tmp_path):
+        # argparse reads a separate "-1e3" as an option, so an exponent form
+        # of a negative SNR is passed with "=".
+        assert run("synth", "--config", "experiment", "--snr-db=-1e3", "--out", str(tmp_path)) == 0
+        side = json.loads((tmp_path / "snapshot.json").read_text())
+        assert side["config"]["noise"]["snr_db"] == -1000.0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -509,7 +525,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "edit", list(EXPERIMENT_EDITS.values()), ids=list(EXPERIMENT_EDITS)
     )
-    def test_invalid_values_refused_before_writing(self, tmp_path, edit):
+    def test_invalid_values_refused_before_writing(self, tmp_path, capsys, edit):
         # Each edit used to load: the commands exited 0, some writing NaN or
         # Infinity (not JSON) into the sidecar, or exited 3 at the grid.
         text = resources.files("pcdoa").joinpath("configs").joinpath("experiment.yaml").read_text()
@@ -518,9 +534,11 @@ class TestErrors:
         path.write_text(text.replace(*edit))
         assert run("synth", "--config", "experiment", "--out", str(tmp_path)) == 0
         snapshot = str(tmp_path / "snapshot.csv")
+        capsys.readouterr()
         for argv in (("synth",), ("ingest", "--add", snapshot), ("estimate", "--add", snapshot)):
             out = tmp_path / argv[0]
             assert run(argv[0], "--config", str(path), *argv[1:], "--out", str(out)) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
             assert not list(out.glob("*.json"))
 
     @pytest.mark.parametrize(

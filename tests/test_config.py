@@ -15,6 +15,8 @@ from pcdoa.config import (
 from pcdoa.errors import ConfigError
 from pcdoa.harness import GeometrySpec, TrialConfig
 
+BIG = 10**400  # an integer too large for a float
+
 MINIMAL = """
 geometry:
   layout: equidistant
@@ -227,6 +229,15 @@ class TestParse:
             ),
             (MINIMAL.replace("  subarrays: 4\n", ""), "'geometry' is missing 'subarrays'"),
             (MINIMAL + "  trials: 2.5\n", "trials must be an integer, got 2.5"),
+            # Each used to end in an OverflowError traceback.
+            (
+                MINIMAL.replace("snr_db: 20.0", f"snr_db: {BIG}"),
+                f"snr_db must be a finite number, got {BIG}",
+            ),
+            (
+                MINIMAL.replace("phase_deg: 90.0", f"phase_deg: {BIG}"),
+                f"'sources.amplitudes[1].phase_deg' must be a finite number, got {BIG}",
+            ),
         ],
         ids=[
             "directions-scalar",
@@ -235,6 +246,8 @@ class TestParse:
             "sweep-text",
             "missing-subarrays",
             "fractional-trials",
+            "401-digit-snr",
+            "401-digit-phase",
         ],
     )
     def test_number_lists_rejected(self, text, message):
@@ -423,6 +436,10 @@ class TestReplace:
             # derive_seed masks the seed to 64 bits, so these aliased 2**64 - 1 and 0.
             ({"base_seed": -1}, r"base_seed must be in \[0, 2\*\*64\), got -1"),
             ({"base_seed": 2**64}, rf"base_seed must be in \[0, 2\*\*64\), got {2**64}"),
+            # These used to end in an OverflowError traceback.
+            ({"snr_db": BIG}, f"snr_db must be a finite number, got {BIG}"),
+            ({"grid_deg": (0, 1, BIG)}, rf"run.grid: grid must be 3 numbers, got \(0, 1, {BIG}\)"),
+            ({"sweep_values": (BIG,)}, rf"sweep_values must be numbers, got \({BIG},\)"),
         ],
         ids=[
             "no-sources",
@@ -437,6 +454,9 @@ class TestReplace:
             "text-grid-start",
             "negative-seed",
             "seed-2**64",
+            "401-digit-snr",
+            "401-digit-grid-step",
+            "401-digit-sweep-value",
         ],
     )
     def test_bad_sources(self, changes, message):
@@ -505,9 +525,10 @@ class TestReplace:
             ({"subarrays": "10"}, "geometry: subarrays must be a number, got '10'"),
             ({"wavelength": True}, "geometry: wavelength must be a number, got True"),
             ({"seed": 2.5}, "geometry: seed must be a whole number, got 2.5"),
+            ({"spacing": BIG}, f"geometry: spacing must be a number, got {BIG}"),
         ],
         ids=["text-spacing", "none-aperture", "text-seed", "text-subarrays", "bool-wavelength",
-             "fractional-seed"],
+             "fractional-seed", "401-digit-spacing"],
     )
     def test_geometry_value_that_is_not_a_number(self, changes, message):
         # Text spacing, a None aperture and a text seed used to end in a bare
@@ -531,8 +552,14 @@ class TestReplace:
             ),
             ({"amplitudes": ("1", "3j")}, "sources: amplitudes must be numbers, got ('1', '3j')"),
             ({"amplitudes": (0, 3j)}, "sources: amplitudes must be nonzero, got (0j, 3j)"),
+            (
+                {"directions_deg": (1.2, BIG)},
+                f"sources: directions_deg must be numbers, got (1.2, {BIG})",
+            ),
+            ({"amplitudes": (1, BIG)}, f"sources: amplitudes must be numbers, got (1, {BIG})"),
         ],
-        ids=["text-directions", "bool-direction", "text-amplitudes", "zero-amplitude"],
+        ids=["text-directions", "bool-direction", "text-amplitudes", "zero-amplitude",
+             "401-digit-direction", "401-digit-amplitude"],
     )
     def test_source_value_numpy_would_convert(self, changes, message):
         # Each used to be accepted; text then made `as_dict()` raise, and a

@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke test: every demo script and README's quick start run to completion
+against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 # Trimmed so the whole set stays a few seconds.
 EXTRA_ARGS = {"rmse_vs_snr.py": ["--trials", "1"]}
 
@@ -37,3 +40,14 @@ def test_demo_runs(script, tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert not list(temp.iterdir())
+
+
+def test_readme_python_blocks_run():
+    # The second block reuses the first block's `geometry` and `snapshot`,
+    # so both run in one namespace, in order.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["refined"].directions_deg.shape == (2,)
