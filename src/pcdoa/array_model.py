@@ -14,15 +14,17 @@ here. A frozen record keeps a read-only copy of each array field
 (`_frozen`, applied field by field by `_freeze`), so the caller's array
 stays writable and nothing the caller does changes the record. A stage
 reads its input matrix through `_matrix`, from a record's field or a bare
-array, as a nonempty 2-D complex matrix. Entries that are not numbers
-or not finite, ragged input, the wrong rank and empty input all raise
-`InvalidParameterError`.
+array, as a nonempty 2-D complex matrix. Entries that are not numbers or
+not finite, an array numpy reads as text, bytes or bools, ragged input,
+the wrong rank and empty input all raise `InvalidParameterError`.
 
 Parameters cross the library boundary by one number rule (`_number`,
 `_numbers`, `_whole`): a number is a `numbers.Real`, or a `numbers.Complex`
 for an amplitude, that is not a bool and fits a float (a count or seed may
 be any whole number); it comes back as a Python number. Anything else,
-text and None included, raises `InvalidParameterError`.
+text and None included, raises `InvalidParameterError`. Every public
+function and record reads its scalar and sequence parameters by this
+rule and its array entries by `_frozen`.
 """
 
 from __future__ import annotations
@@ -85,29 +87,30 @@ def _numbers(values, name, kind=numbers.Real, count=None):
     return entries
 
 
-def _whole(value, name, fraction=False):
+def _whole(value, name):
     """``value`` as an int when it is a whole number: an integer of any size
-    or a `_number` float such as 4.0. A fraction raises
-    InvalidParameterError, or with ``fraction`` comes back as its float for
-    the caller to refuse in its own words."""
+    or a `_number` float such as 4.0; InvalidParameterError otherwise."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     number = _number(value, name)
-    if number.is_integer():
-        return int(number)
-    if not fraction:
+    if not number.is_integer():
         raise InvalidParameterError(f"{name} must be a whole number, got {value!r}")
-    return number
+    return int(number)
 
 
 def _frozen(values, dtype, name):
     """A read-only copy of ``values`` as ``dtype``, so the record owns it and
-    the caller's array stays writable; InvalidParameterError if any entry is
-    not a number or the entries do not form a regular array."""
+    the caller's array stays writable; InvalidParameterError unless the
+    entries form a regular array of numbers that numpy does not read as
+    text, bytes or (for any ``dtype`` but bool) bools. Only the dtype numpy
+    gives ``values`` is read, so a bool inside a list of numbers passes."""
     try:
+        kind = np.asarray(values).dtype.kind
         arr = np.array(values, dtype=dtype)
     except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be numbers, got {values!r}") from None
+        arr = None
+    if arr is None or kind in "US" or (kind == "b" and dtype is not bool):
+        raise InvalidParameterError(f"{name} must be numbers, got {values!r}")
     arr.setflags(write=False)
     return arr
 
@@ -135,9 +138,7 @@ def _matrix(value, name, field="data"):
 
 
 def _frozen_float_array(values, name):
-    arr = _frozen(values, float, name)
-    if arr.ndim != 1:
-        raise InvalidParameterError(f"{name} must be a 1-D sequence")
+    arr = _frozen(_numbers(values, name), float, name)
     if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{name} must be finite")
     return arr
@@ -254,8 +255,8 @@ class SourceScenario:
         noise_variance = _number(self.noise_variance, "noise_variance")
         if not (math.isfinite(noise_variance) and noise_variance >= 0):
             raise InvalidParameterError("noise_variance must be nonnegative")
-        seed = _whole(self.seed, "seed", fraction=True)
-        if not (isinstance(seed, int) and seed >= 0):
+        seed = _whole(self.seed, "seed")
+        if seed < 0:
             raise InvalidParameterError("seed must be a nonnegative integer")
         if max(theta) > 0 > min(theta):
             # The model assumes all sources on one side of broadside.
@@ -334,13 +335,8 @@ def build_geometry(
     if layout not in ("equidistant", "uniform_random"):
         raise InvalidParameterError(f"unknown layout {layout!r}")
     # An integer beyond float range is whole; the size rule below refuses it.
-    k_count = _whole(subarray_count, "subarray_count", fraction=True)
-    m_count = _whole(elements_per_subarray, "elements_per_subarray", fraction=True)
-    if not (isinstance(k_count, int) and isinstance(m_count, int)):
-        raise InvalidParameterError(
-            f"subarray_count and elements_per_subarray must be whole numbers, got "
-            f"{subarray_count!r} and {elements_per_subarray!r}"
-        )
+    k_count = _whole(subarray_count, "subarray_count")
+    m_count = _whole(elements_per_subarray, "elements_per_subarray")
     if k_count < 2 or m_count < 2:
         raise InvalidParameterError("need subarray_count >= 2 and elements_per_subarray >= 2")
     if k_count * m_count > _MAX_ELEMENTS:
@@ -392,7 +388,7 @@ def phase_offset(inter_displacement, direction_deg, wavelength):
     if not (_number(wavelength, "wavelength") > 0):
         raise InvalidParameterError("wavelength must be positive")
     theta = _check_direction_deg(direction_deg)
-    xi = np.asarray(inter_displacement, dtype=float)
+    xi = _frozen(inter_displacement, float, "inter_displacement")
     result = np.exp(1j * 2.0 * np.pi / wavelength * xi * np.sin(theta))
     return complex(result) if np.isscalar(inter_displacement) else result
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _freeze, _matrix
+from .array_model import _freeze, _frozen, _matrix, _number, _whole
 from .errors import DegenerateInputError, InvalidParameterError
 
 __all__ = [
@@ -65,14 +65,8 @@ class CorrelationStatistics:
     dirichlet_factor: float
 
 
-def _sinc_ratio(x):
-    # sin(x)/x with the analytic limit at 0 (np.sinc is the normalized form).
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
 def _dirichlet(phi, m):
     """sin(m phi) / (m sin phi) with analytic limits at multiples of pi."""
-    phi = np.asarray(phi, dtype=float)
     nearest = np.round(phi / np.pi)
     residual = phi - np.pi * nearest
     at_limit = np.abs(residual) < _LIMIT_WINDOW
@@ -81,8 +75,7 @@ def _dirichlet(phi, m):
     limit_sign = np.where((nearest.astype(np.int64) * (m - 1)) % 2 == 0, 1.0, -1.0)
     safe = np.where(at_limit, np.pi / 2, phi)
     direct = np.sin(m * safe) / (m * np.sin(safe))
-    result = np.where(at_limit, limit_sign, direct)
-    return result if result.ndim else float(result)
+    return np.where(at_limit, limit_sign, direct)
 
 
 def cross_covariance(source_rows):
@@ -113,14 +106,24 @@ def coherence(source_rows):
     return min(float(normalized.max()), 1.0)
 
 
+def _pair(theta_i_deg, theta_j_deg, wavelength):
+    """sin(ti) - sin(tj) and the wavelength, each read by the number rule;
+    InvalidParameterError unless the wavelength is positive."""
+    theta_i, theta_j = _number(theta_i_deg, "theta_i_deg"), _number(theta_j_deg, "theta_j_deg")
+    wavelength = _number(wavelength, "wavelength")
+    if not (wavelength > 0):
+        raise InvalidParameterError("wavelength must be positive")
+    return np.sin(np.radians(theta_i)) - np.sin(np.radians(theta_j)), wavelength
+
+
 def pair_correlation(inter_displacements, theta_i_deg, theta_j_deg, wavelength):
     """Unit-amplitude cross term (1/K) sum_k exp(j 2 pi xi_k (sin ti - sin tj) / wavelength).
 
     This is the exact inter-subarray correlation for a known set of
     offsets, used as ground truth when comparing against blind estimates.
     """
-    xi = np.asarray(inter_displacements, dtype=float)
-    delta_sin = np.sin(np.radians(theta_i_deg)) - np.sin(np.radians(theta_j_deg))
+    xi = _frozen(inter_displacements, float, "inter_displacements")
+    delta_sin, wavelength = _pair(theta_i_deg, theta_j_deg, wavelength)
     phases = 2.0 * np.pi / wavelength * xi * delta_sin
     return complex(np.mean(np.exp(1j * phases)))
 
@@ -143,10 +146,11 @@ def expected_correlation(rho, subarray_count):
     -------
     (expected_magnitude, expected_power)
     """
-    k_count = int(subarray_count)
+    k_count = _whole(subarray_count, "subarray_count")
     if k_count < 1:
         raise InvalidParameterError("subarray_count must be >= 1")
-    sinc = _sinc_ratio(rho)
+    # sin(rho)/rho with the analytic limit at 0 (np.sinc is the normalized form).
+    sinc = np.sinc(_frozen(rho, float, "rho") / np.pi)
     magnitude = np.abs(sinc)
     power = 1.0 / k_count + (1.0 - 1.0 / k_count) * sinc**2
     if np.ndim(rho) == 0:
@@ -166,17 +170,16 @@ def pair_statistics(
     """Bundle rho, varphi and the closed-form moments for one direction pair:
     those of `expected_correlation`, scaled by |M| and M^2 for the subarray's
     Dirichlet factor M = sin(Mbar * varphi) / (Mbar * sin varphi)."""
-    if not (wavelength > 0):
-        raise InvalidParameterError("wavelength must be positive")
-    if not (aperture > 0) or element_spacing < 0:
+    delta_sin, wavelength = _pair(theta_i_deg, theta_j_deg, wavelength)
+    aperture, spacing = _number(aperture, "aperture"), _number(element_spacing, "element_spacing")
+    if not (aperture > 0) or spacing < 0:
         raise InvalidParameterError("aperture must be positive and spacing nonnegative")
-    m_count = int(elements_per_subarray)
-    k_count = int(subarray_count)
+    m_count = _whole(elements_per_subarray, "elements_per_subarray")
+    k_count = _whole(subarray_count, "subarray_count")
     if m_count < 1 or k_count < 1:
         raise InvalidParameterError("element and subarray counts must be >= 1")
-    delta_sin = np.sin(np.radians(theta_i_deg)) - np.sin(np.radians(theta_j_deg))
     rho = np.pi * aperture * delta_sin / wavelength
-    varphi = np.pi * element_spacing * delta_sin / wavelength
+    varphi = np.pi * spacing * delta_sin / wavelength
     dirichlet = 1.0 if m_count == 1 else float(_dirichlet(varphi, m_count))
     magnitude, power = expected_correlation(rho, k_count)
     return CorrelationStatistics(

@@ -21,10 +21,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Complex
 
 import numpy as np
 
-from .array_model import ArrayGeometry, _freeze, _frozen, _matrix, _steering_matrix
+from .array_model import (
+    ArrayGeometry, _freeze, _frozen, _matrix, _number, _numbers, _steering_matrix, _whole,
+)
 from .errors import DomainError, InvalidParameterError
 from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
 
@@ -93,7 +96,7 @@ def _fit_inputs(measurements, geometry, offsets, count=None, amplitudes=None):
     Raises ``InvalidParameterError`` unless the measurements are M x K
     for the geometry and the offsets have K columns and, when
     ``count`` directions are given, ``count`` rows and, when
-    ``amplitudes`` are given, ``count`` of them.
+    ``amplitudes`` are given, ``count`` numbers there.
     """
     x = _matrix(measurements, "measurements")
     phi = _matrix(offsets, "offsets", field="offsets")
@@ -103,7 +106,7 @@ def _fit_inputs(measurements, geometry, offsets, count=None, amplitudes=None):
         raise InvalidParameterError("offsets must have one column per subarray")
     if count is not None and phi.shape[0] != count:
         raise InvalidParameterError("offsets must have one row per initial direction")
-    if amplitudes is not None and np.shape(amplitudes) != (count,):
+    if amplitudes is not None and len(_numbers(amplitudes, "amplitudes", Complex)) != count:
         raise InvalidParameterError("amplitudes must have one entry per direction")
     return x, phi
 
@@ -129,6 +132,7 @@ def estimate_phase_offsets(separated):
 def angle_grid(start_deg, stop_deg, step_deg):
     """Inclusive degree grid from start to stop with the given step; one of
     more than ``_MAX_GRID_POINTS`` points is refused before allocation."""
+    start_deg, stop_deg, step_deg = _numbers((start_deg, stop_deg, step_deg), "grid", count=3)
     if not (step_deg > 0):
         raise InvalidParameterError("grid step must be positive")
     if stop_deg < start_deg:
@@ -157,18 +161,16 @@ def bss_mf(measurements, geometry, offsets, grid):
     its peak.
 
     ``grid`` is a (start, stop, step) triple in degrees for
-    :func:`angle_grid`; other than three values raise
-    ``InvalidParameterError``.  The grid and its steering dictionary
+    :func:`angle_grid`, read by the number rule; other than three numbers
+    raise ``InvalidParameterError``.  The grid and its steering dictionary
     depend only on the wavelength, the element displacements inside a
     subarray and the triple, so they are computed once per such key and
     reused, read-only, by later calls.
     """
     x, phi = _fit_inputs(measurements, geometry, offsets)
-    triple = np.asarray(grid, dtype=float)
-    if triple.shape != (3,):
-        raise InvalidParameterError("grid must be a (start, stop, step) triple in degrees")
+    triple = _numbers(grid, "grid", count=3)
     grid_deg, steering = _grid_steering(
-        float(geometry.wavelength), geometry.intra_displacements.tobytes(), *triple.tolist()
+        geometry.wavelength, geometry.intra_displacements.tobytes(), *triple
     )
     columns = _source_columns(x, phi)
     spectra = np.abs(columns.conj().T @ steering)
@@ -216,7 +218,7 @@ def nls_cost(measurements, geometry, offsets, directions_deg, amplitudes):
     C(theta, s) = sum_k || x_k - B(theta) Phi_k s ||^2 with the phase
     offsets held fixed.
     """
-    theta = np.radians(np.asarray(directions_deg, dtype=float))
+    theta = np.radians(_numbers(directions_deg, "directions_deg"))
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
     return _FixedOffsetModel(x, geometry, phi).cost(_pack(theta, amplitudes))
 
@@ -286,7 +288,7 @@ def nls_cost_gradients(measurements, geometry, offsets, theta_rad, amplitudes):
     Both are -2 Re(J^H r) for the residual r and model Jacobian J that
     ``bss_nls`` fits with.
     """
-    theta = np.asarray(theta_rad, dtype=float)
+    theta = np.array(_numbers(theta_rad, "theta_rad"))
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size, amplitudes)
     model = _FixedOffsetModel(x, geometry, phi)
     residual, jac = model.residual_jacobian(_pack(theta, amplitudes))
@@ -321,7 +323,8 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
     ``final_cost`` and ``cost_history`` are the squared residual of the
     model that was fitted; accepted costs never increase.
     """
-    theta = np.radians(np.asarray(init_directions_deg, dtype=float))
+    theta = np.radians(_numbers(init_directions_deg, "init_directions_deg"))
+    max_iterations = _whole(max_iterations, "max_iterations")
     if not (np.abs(theta) < np.pi / 2).all():
         raise DomainError("initial directions must lie strictly inside (-90, 90) degrees")
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)
@@ -341,7 +344,7 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
         amplitudes=s,
         spectra=None,
         grid_deg=None,
-        iterations=int(iterations),
+        iterations=iterations,
         final_cost=float(history[-1]),
         cost_history=tuple(float(cost) for cost in history),
         stop_reason=reason,
@@ -355,9 +358,9 @@ def match_sources(estimates_deg, truths_deg):
     truth i.  Exhaustive over all permutations (lengths capped at 8);
     ties pick the lexicographically smallest permutation.
     """
-    estimates = np.asarray(estimates_deg, dtype=float)
-    truths = np.asarray(truths_deg, dtype=float)
-    if estimates.shape != truths.shape or estimates.ndim != 1:
+    estimates = np.array(_numbers(estimates_deg, "estimates_deg"))
+    truths = np.array(_numbers(truths_deg, "truths_deg"))
+    if estimates.size != truths.size:
         raise InvalidParameterError("estimates and truths must be equal-length vectors")
     if estimates.size > 8:
         raise InvalidParameterError("exhaustive matching is capped at 8 sources")

@@ -60,9 +60,9 @@ def derive_seed(base_seed: int, sweep_index: int, trial_index: int) -> int:
 
     The +1 offsets keep index zero from collapsing into the xor identity.
     """
-    state = _splitmix64(int(base_seed) & _MASK64)
-    state = _splitmix64(state ^ ((int(sweep_index) + 1) & _MASK64))
-    return _splitmix64(state ^ ((int(trial_index) + 1) & _MASK64))
+    state = _splitmix64(_whole(base_seed, "base_seed") & _MASK64)
+    state = _splitmix64(state ^ ((_whole(sweep_index, "sweep_index") + 1) & _MASK64))
+    return _splitmix64(state ^ ((_whole(trial_index, "trial_index") + 1) & _MASK64))
 
 
 @contextmanager
@@ -80,10 +80,9 @@ class GeometrySpec:
     """Recipe for building an :class:`ArrayGeometry` inside the harness.
 
     Construction reads every field by `array_model`'s number rule, refuses
-    a fractional `seed` and stores lengths as floats and whole counts as
-    ints, so the sidecar writes them as YAML does; a refusal is a
-    `ConfigError("geometry: ...")`. `build_geometry` refuses a fractional
-    count."""
+    a fractional count or `seed` and stores lengths as floats and whole
+    numbers as ints, so the sidecar writes them as YAML does; a refusal is
+    a `ConfigError("geometry: ...")`."""
 
     layout: str
     subarrays: int
@@ -97,10 +96,8 @@ class GeometrySpec:
         with _config_error("geometry: "):
             for name in ("spacing", "aperture", "wavelength"):
                 object.__setattr__(self, name, _number(getattr(self, name), name))
-            for name in ("subarrays", "elements"):
-                value = _whole(getattr(self, name), name, fraction=True)
-                object.__setattr__(self, name, value)
-            object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+            for name in ("subarrays", "elements", "seed"):
+                object.__setattr__(self, name, _whole(getattr(self, name), name))
 
     def build(self) -> ArrayGeometry:
         return build_geometry(
@@ -213,20 +210,21 @@ class TrialConfig:
     def scenario(self, sweep_value: Optional[float] = None) -> Tuple[np.ndarray, float]:
         """(directions in degrees, noise variance) of one sweep point.
 
-        `None` gives the configured scenario. Raises `ConfigError` for a
-        separation that needs other than two sources or that pushes
-        sin(theta_2) outside (-1, 1), and for an SNR so low that the noise
-        variance overflows.
+        `None` gives the configured scenario; any other value is read by the
+        number rule. Raises `ConfigError` for a separation that needs other
+        than two sources or that pushes sin(theta_2) outside (-1, 1), and
+        for an SNR so low that the noise variance overflows.
         """
         directions = np.array(self.directions_deg, dtype=float)
         snr_db = self.snr_db
-        if sweep_value is not None and self.sweep_axis == "snr":
-            snr_db = float(sweep_value)
-        elif sweep_value is not None and self.sweep_axis == "separation":
+        value = None if sweep_value is None else _number(sweep_value, "sweep_value")
+        if value is not None and self.sweep_axis == "snr":
+            snr_db = value
+        elif value is not None and self.sweep_axis == "separation":
             if directions.size != 2:
                 raise ConfigError(f"separation sweep needs two sources, got {directions.size}")
             delta_sin = self.geometry.wavelength / self.geometry.aperture
-            target = math.sin(math.radians(directions[0])) + float(sweep_value) * delta_sin
+            target = math.sin(math.radians(directions[0])) + value * delta_sin
             if not -1.0 < target < 1.0:
                 raise ConfigError(f"separation {sweep_value} puts sin(theta_2) at {target}")
             directions[1] = math.degrees(math.asin(target))

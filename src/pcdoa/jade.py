@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import _freeze, _frozen, _matrix
+from .array_model import _freeze, _frozen, _matrix, _numbers, _whole
 from .errors import InvalidParameterError, RankDeficiencyError
 
 __all__ = [
@@ -74,8 +74,8 @@ class CumulantMatrixSet:
     def __post_init__(self):
         # One read-only stack; each matrix is a view of it.
         object.__setattr__(self, "matrices", tuple(_frozen(self.matrices, complex, "matrices")))
-        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
-        object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
+        object.__setattr__(self, "eigenvalues", _numbers(self.eigenvalues, "eigenvalues"))
+        object.__setattr__(self, "spectrum", _numbers(self.spectrum, "spectrum"))
         _freeze(self, packed=complex)
 
 
@@ -126,7 +126,7 @@ def estimate_whitener(measurements, n_sources):
     """
     y = _matrix(measurements, "measurements")
     n_rows, n_samples = y.shape
-    n_src = int(n_sources)
+    n_src = _whole(n_sources, "n_sources")
     if not (0 < n_src < n_rows):
         raise InvalidParameterError("need 1 <= n_sources < number of rows")
     if n_samples < n_src:
@@ -160,7 +160,7 @@ def sample_cumulant(ea, eb, ec, ed):
     Conjugation is the caller's job, matching the convention that rows of
     the conjugated matrix are passed directly.
     """
-    vecs = [np.asarray(v, dtype=complex).ravel() for v in (ea, eb, ec, ed)]
+    vecs = [_frozen(v, complex, "cumulant arguments").ravel() for v in (ea, eb, ec, ed)]
     n_samples = vecs[0].size
     if n_samples < 1 or any(v.size != n_samples for v in vecs):
         raise InvalidParameterError("cumulant arguments must share one nonzero length")
@@ -245,7 +245,7 @@ def joint_diagonalize(matrix_set, max_sweeps=100):
     rows = np.empty((stack.shape[0], 3), dtype=complex)  # O of the current plane
     rotation = np.eye(size, dtype=complex)
     sweeps_done = 0
-    for _ in range(int(max_sweeps)):
+    for _ in range(_whole(max_sweeps, "max_sweeps")):
         rotated = False
         for m, n in planes:
             np.subtract(stack[:, m, m], stack[:, n, n], out=rows[:, 0])

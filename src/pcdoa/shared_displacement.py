@@ -428,7 +428,7 @@ def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations,
     history = [cost_now]
     damping = _DAMPING_START
     identity = np.eye(params.size)
-    for iteration in range(1, int(max_iterations) + 1):
+    for iteration in range(1, max_iterations + 1):
         normal, gradient, scale = _normal_equations(*residual_jacobian(params))
         for _ in range(_DAMPING_TRIES):
             try:
@@ -448,7 +448,7 @@ def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations,
         damping = max(damping / 10.0, _DAMPING_FLOOR)
         if previous - cost_now <= tolerance * previous:
             return params, history, iteration, "converged"
-    return params, history, int(max_iterations), "iteration_cap"
+    return params, history, max_iterations, "iteration_cap"
 
 
 def _pull(a, c, q, phi):

@@ -16,9 +16,25 @@ from pcdoa.array_model import (
     steering_vector,
     synthesize,
 )
-from pcdoa.correlation import SourceCrossCovariance, coherence, cross_covariance
+from pcdoa.config import load_packaged_config
+from pcdoa.correlation import (
+    SourceCrossCovariance,
+    coherence,
+    cross_covariance,
+    expected_correlation,
+    pair_correlation,
+    pair_statistics,
+)
 from pcdoa.errors import IdentifiabilityError, InvalidParameterError
-from pcdoa.estimators import DoaEstimate, PhaseOffsetEstimate, bss_mf, estimate_phase_offsets
+from pcdoa.estimators import (
+    DoaEstimate,
+    PhaseOffsetEstimate,
+    angle_grid,
+    bss_mf,
+    bss_nls,
+    estimate_phase_offsets,
+)
+from pcdoa.harness import derive_seed
 from pcdoa.jade import (
     CumulantMatrixSet,
     SeparationResult,
@@ -27,6 +43,7 @@ from pcdoa.jade import (
     cumulant_matrix_set,
     estimate_whitener,
     jade_cost,
+    jade_separate,
     joint_diagonalize,
 )
 
@@ -79,14 +96,20 @@ def test_build_geometry_validation():
 
 
 @pytest.mark.parametrize(
-    "counts",
-    [(10.7, 4.9), (5.7, 10), (10, 4.5), (float("nan"), 4)],
+    "counts,message",
+    [
+        ((10.7, 4.9), "subarray_count must be a whole number, got 10.7"),
+        ((5.7, 10), "subarray_count must be a whole number, got 5.7"),
+        ((10, 4.5), "elements_per_subarray must be a whole number, got 4.5"),
+        ((float("nan"), 4), "subarray_count must be a whole number, got nan"),
+    ],
     ids=["10.7-4.9", "5.7-10", "10-4.5", "nan-4"],
 )
-def test_build_geometry_refuses_fractional_counts(counts):
+def test_build_geometry_refuses_fractional_counts(counts, message):
     # int() used to truncate: (10.7, 4.9) built 10 subarrays of 4 elements.
-    with pytest.raises(InvalidParameterError, match="whole numbers"):
+    with pytest.raises(InvalidParameterError) as info:
         build_geometry("equidistant", *counts, 0.5, 50.0, 1.0)
+    assert str(info.value) == message
 
 
 def test_build_geometry_accepts_whole_float_counts():
@@ -95,6 +118,10 @@ def test_build_geometry_accepts_whole_float_counts():
 
 
 BIG = 10**400  # an integer too large for a float
+# A 3 x 3 array, its snapshot and one offset row, for the stage parameters.
+SMALL = build_geometry("equidistant", 3, 3, 0.5, 10.0, 1.0)
+SNAPSHOT = np.exp(2j * np.pi * np.arange(9.0).reshape(3, 3) / 7.0)
+ONE_ROW = np.ones((1, 3))
 
 
 @pytest.mark.parametrize(
@@ -152,17 +179,69 @@ BIG = 10**400  # an integer too large for a float
             lambda: ArrayGeometry("1.0", [0.0, 0.5], [0.0, 5.0]),
             "wavelength must be a number, got '1.0'",
         ),
+        (
+            lambda: ArrayGeometry(1.0, ["0", "0.5"], [0, 450]),
+            "intra_displacements must be numbers, got ['0', '0.5']",
+        ),
+        (
+            lambda: ArrayGeometry(1.0, [0, True], [0, 450]),
+            "intra_displacements must be numbers, got [0, True]",
+        ),
+        (
+            lambda: MeasurementMatrix([["1", "2"], ["3", "4"]]),
+            "data must be numbers, got [['1', '2'], ['3', '4']]",
+        ),
+        (lambda: jade_separate(SNAPSHOT, 2.7), "n_sources must be a whole number, got 2.7"),
+        (lambda: jade_separate(SNAPSHOT, "2"), "n_sources must be a number, got '2'"),
+        (
+            lambda: bss_mf(SNAPSHOT, SMALL, ONE_ROW, ("0", "16", "0.01")),
+            "grid must be 3 numbers, got ('0', '16', '0.01')",
+        ),
+        (lambda: angle_grid(True, 16, 0.01), "grid must be 3 numbers, got (True, 16, 0.01)"),
+        (
+            lambda: bss_nls(SNAPSHOT, SMALL, ONE_ROW, [5.0], max_iterations="3"),
+            "max_iterations must be a number, got '3'",
+        ),
+        (
+            lambda: bss_nls(SNAPSHOT, SMALL, ONE_ROW, [5.0], max_iterations=2.5),
+            "max_iterations must be a whole number, got 2.5",
+        ),
+        (lambda: derive_seed(1.5, 0, 0), "base_seed must be a whole number, got 1.5"),
+        (lambda: derive_seed("1", 0, 0), "base_seed must be a number, got '1'"),
+        (
+            lambda: load_packaged_config("fig6a").scenario("20"),
+            "sweep_value must be a number, got '20'",
+        ),
+        (
+            lambda: load_packaged_config("fig6a").scenario(True),
+            "sweep_value must be a number, got True",
+        ),
+        (
+            lambda: pair_statistics(1.2, 14.2, 0.5, 450.0, 10.7, 4.9, 1.0),
+            "elements_per_subarray must be a whole number, got 10.7",
+        ),
+        (lambda: expected_correlation(1.0, "4"), "subarray_count must be a number, got '4'"),
+        (
+            lambda: pair_correlation(SMALL.inter_displacements, 1.2, 1.4, 0.0),
+            "wavelength must be positive",
+        ),
     ],
     ids=[
         "text-sources", "bool-direction", "text-amplitudes", "bool-noise-variance",
         "bool-seed", "401-digit-direction", "text-spacing", "bool-spacing",
         "401-digit-aperture", "text-count", "bool-random-seed", "bool-wavelength",
-        "text-wavelength",
+        "text-wavelength", "text-displacements", "bool-displacement", "text-matrix",
+        "fractional-n-sources", "text-n-sources", "text-grid", "bool-grid-start",
+        "text-max-iterations", "fractional-max-iterations", "fractional-base-seed",
+        "text-base-seed", "text-sweep-value", "bool-sweep-value",
+        "fractional-pair-statistics-counts", "text-expected-correlation-count",
+        "zero-wavelength-pair-correlation",
     ],
 )
 def test_parameters_refuse_bools_text_and_overflow(call, message):
-    # Each used to be accepted (numpy converted text and bools), or to end
-    # in a bare TypeError or OverflowError.
+    # Each used to be accepted (numpy or int() converted text, bools and
+    # fractions), or to end in a bare TypeError, OverflowError or
+    # ZeroDivisionError.
     with pytest.raises(InvalidParameterError) as info:
         call()
     assert str(info.value) == message
@@ -349,6 +428,9 @@ BAD_MATRICES = {
     "empty": np.zeros((0, 3)),
     # Square and 3 x 3, so that only its entries are wrong for every stage.
     "non-finite": [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]],
+    # Entries numpy would convert to numbers.
+    "numeric-text": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "bools": [[True, False, False], [False, True, False], [False, False, True]],
 }
 
 
@@ -378,6 +460,7 @@ def _bss_mf(matrix):
 def test_matrix_stages_refuse_bad_input(stage, bad):
     # estimate_whitener, joint_diagonalize and cross_covariance let numpy's
     # own ValueError escape for some of these; a non-finite matrix used to
-    # reach the linear algebra and end as LinAlgError or a NaN result.
+    # reach the linear algebra and end as LinAlgError or a NaN result, and
+    # numpy converted text and bool entries to numbers.
     with pytest.raises(InvalidParameterError):
         stage(bad)

@@ -473,8 +473,8 @@ class TestReplace:
     @pytest.mark.parametrize(
         "changes,message",
         [
-            ({"subarrays": 5.7}, "geometry: subarray_count and elements_per_subarray must be whole"),
-            ({"elements": 3.5}, "geometry: subarray_count and elements_per_subarray must be whole"),
+            ({"subarrays": 5.7}, "geometry: subarrays must be a whole number, got 5.7"),
+            ({"elements": 3.5}, "geometry: elements must be a whole number, got 3.5"),
             ({"layout": "spiral"}, "geometry: unknown layout 'spiral'"),
             # ArrayGeometry's rule; build_geometry no longer repeats it.
             ({"wavelength": 0.0}, "geometry: wavelength must be positive and finite"),

@@ -222,16 +222,26 @@ class TestMatchedFilter:
         assert np.array_equal(listed.directions_deg, tupled.directions_deg)
 
     @pytest.mark.parametrize(
-        "grid", [np.linspace(0.0, 4.0, 5), (0.0, 16.0), ((0.0, 16.0, 0.5),)],
+        "grid,message",
+        [
+            (
+                np.linspace(0.0, 4.0, 5),
+                "grid must be 3 numbers, got array([0., 1., 2., 3., 4.])",
+            ),
+            ((0.0, 16.0), "grid must be 3 numbers, got (0.0, 16.0)"),
+            (((0.0, 16.0, 0.5),), "grid must be 3 numbers, got ((0.0, 16.0, 0.5),)"),
+        ],
         ids=["five-angles", "pair", "nested"],
     )
-    def test_grid_other_than_a_triple_refused(self, grid):
+    def test_grid_other_than_a_triple_refused(self, grid, message):
+        # The number rule's message, the one `TrialConfig` gives for run.grid.
         rng = np.random.default_rng(9)
         geometry = small_geometry()
         x = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         offsets = np.exp(2j * np.pi * rng.random((2, 6)))
-        with pytest.raises(InvalidParameterError, match="triple"):
+        with pytest.raises(InvalidParameterError) as info:
             bss_mf(x, geometry, offsets, grid)
+        assert str(info.value) == message
 
 
 class TestNlsCost:
