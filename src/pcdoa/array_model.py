@@ -103,13 +103,23 @@ def _frozen(values, dtype, name):
     the caller's array stays writable; InvalidParameterError unless the
     entries form a regular array of numbers that numpy does not read as
     text, bytes or (for any ``dtype`` but bool) bools. Only the dtype numpy
-    gives ``values`` is read, so a bool inside a list of numbers passes."""
+    gives ``values`` is read, so a bool inside a list of numbers passes,
+    except for an object-dtype input: there each entry must be a
+    `numbers.Number`, and a bool only for a bool ``dtype``."""
+    refused = "US" if dtype is bool else "USb"
     try:
-        kind = np.asarray(values).dtype.kind
+        given = np.asarray(values)
         arr = np.array(values, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or kind in "US" or (kind == "b" and dtype is not bool):
+    else:
+        kinds = given.dtype.kind
+        if kinds == "O":  # numpy kept the entries as Python objects
+            kinds = {
+                "b" if isinstance(v, (bool, np.bool_)) else "f" if isinstance(v, numbers.Number) else "U"
+                for v in given.flat
+            }
+    if arr is None or not set(kinds).isdisjoint(refused):
         raise InvalidParameterError(f"{name} must be numbers, got {values!r}")
     arr.setflags(write=False)
     return arr

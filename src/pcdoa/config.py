@@ -16,8 +16,10 @@ reproducible figure-style run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
+import warnings
 from importlib import resources
 from typing import Tuple
 
@@ -79,7 +81,30 @@ def _amplitude(entry, where) -> complex:
 
 
 def parse_config(text: str) -> TrialConfig:
-    """Parse one YAML config document; `TrialConfig` checks every value."""
+    """Parse one YAML config document; `TrialConfig` checks every value.
+
+    A process parses each distinct `str` text once: the 16 most recently
+    used texts keep their `TrialConfig`, which is frozen and so shared. A
+    text whose parse fails or warns is not kept, so it fails or warns on
+    every call; input that is not a `str` is parsed on every call.
+    """
+    if isinstance(text, str):
+        try:
+            return _parse_quiet(text)
+        except Warning:
+            pass
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_quiet(text: str) -> TrialConfig:
+    """`_parse(text)`, with any warning raised as an error, which is not kept."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _parse(text)
+
+
+def _parse(text) -> TrialConfig:
     try:
         document = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:

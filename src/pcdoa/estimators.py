@@ -26,10 +26,12 @@ from numbers import Complex
 import numpy as np
 
 from .array_model import (
-    ArrayGeometry, _freeze, _frozen, _matrix, _number, _numbers, _steering_matrix, _whole,
+    ArrayGeometry, _freeze, _frozen, _matrix, _number, _numbers, _steering_matrix,
 )
 from .errors import DomainError, InvalidParameterError
-from .shared_displacement import levenberg_marquardt, shared_displacement_fit, unresolved_pair
+from .shared_displacement import (
+    _iteration_cap, levenberg_marquardt, shared_displacement_fit, unresolved_pair,
+)
 
 __all__ = [
     "PhaseOffsetEstimate",
@@ -317,14 +319,15 @@ def bss_nls(measurements, geometry, offsets, init_directions_deg, max_iterations
       calls the fit's cost and Jacobian directly, building one steering
       matrix per direction pair it evaluates.
 
-    ``max_iterations`` caps the final Levenberg-Marquardt run, which also
-    ends when an accepted step lowers the cost by a relative 1e-10 or
-    less, or when no damping lowers it; ``stop_reason`` says which.
+    ``max_iterations``, a whole number 0 or more, caps the final
+    Levenberg-Marquardt run, which also ends when an accepted step lowers
+    the cost by a relative 1e-10 or less, or when no damping lowers it;
+    ``stop_reason`` says which.
     ``final_cost`` and ``cost_history`` are the squared residual of the
     model that was fitted; accepted costs never increase.
     """
     theta = np.radians(_numbers(init_directions_deg, "init_directions_deg"))
-    max_iterations = _whole(max_iterations, "max_iterations")
+    max_iterations = _iteration_cap(max_iterations)
     if not (np.abs(theta) < np.pi / 2).all():
         raise DomainError("initial directions must lie strictly inside (-90, 90) degrees")
     x, phi = _fit_inputs(measurements, geometry, offsets, theta.size)

@@ -55,6 +55,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .array_model import _whole
+from .errors import InvalidParameterError
+
 # Sine grid of the second source: this many steps on each side of the
 # reference, over a tenth of the subarray's Rayleigh resolution (the same
 # span `unresolved_pair` accepts).
@@ -406,6 +409,15 @@ def _normal_equations(residual, jac):
     return normal, gradient, scale
 
 
+def _iteration_cap(value):
+    """``value`` as a whole number of iterations, 0 or more;
+    InvalidParameterError otherwise."""
+    cap = _whole(value, "max_iterations")
+    if cap < 0:
+        raise InvalidParameterError(f"max_iterations must be nonnegative, got {value!r}")
+    return cap
+
+
 def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations, tolerance=1e-10):
     """Levenberg-Marquardt for one real parameter vector.
 
@@ -419,10 +431,11 @@ def levenberg_marquardt(params, residual_jacobian, cost, inside, max_iterations,
     accepted-cost history, iterations, stop reason): ``"converged"`` when
     the relative cost decrease falls to ``tolerance``, ``"stalled"`` when
     no damping finds a lower cost, and ``"iteration_cap"`` after
-    ``max_iterations``.  An exact fit can end ``"stalled"``: at a
-    rounding-level cost no step lowers it further (a noiseless close pair
-    ends at 7.3e-28).
+    ``max_iterations``, a whole number 0 or more.  An exact fit can end
+    ``"stalled"``: at a rounding-level cost no step lowers it further (a
+    noiseless close pair ends at 7.3e-28).
     """
+    max_iterations = _iteration_cap(max_iterations)
     params = np.array(params, dtype=float)
     cost_now = cost(params)
     history = [cost_now]

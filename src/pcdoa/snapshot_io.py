@@ -10,6 +10,7 @@ snapshots through `snapshot_columns`.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from typing import Sequence, Union
@@ -29,25 +30,35 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     value as `repr(float(v))`, so `5` reads `5.0`, and `-0.0`, `nan` and
     `inf` appear as Python prints them. Each distinct value of a column
     is formatted once, so a repeated column such as the tiled grid of
-    `spectra.csv` costs one `repr` per grid point. The text is built in
-    bulk and written in one call.
+    `spectra.csv` costs one `repr` per grid point, and a column with the
+    same distinct values as one of the last four written costs none. The
+    text is built in bulk and written in one call.
     """
     cells = []
     for column in columns:
         values = np.asarray(column)
-        text = str
         if values.dtype.kind not in "iu":
-            values, text = values.astype(float), repr
+            values = values.astype(float)
         # Distinct by bit pattern: -0.0 and 0.0 print differently.
-        _, first, inverse = np.unique(
-            values.view(f"u{values.itemsize}"), return_index=True, return_inverse=True
-        )
-        distinct = np.array(list(map(text, values[first].tolist())), dtype=object)
-        cells.append(distinct[inverse].tolist())
+        distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        cells.append(_texts(values.dtype.str, distinct.tobytes())[inverse].tolist())
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=4)
+def _texts(dtype: str, raw: bytes) -> np.ndarray:
+    """The `write_csv` text of each value of ``dtype`` packed in ``raw``,
+    kept for the four most recent columns. It is keyed by the dtype and the
+    exact bytes, so a kept text is only used for the values it was made
+    from: 0.0 and -0.0, or uint64 2**64 - 1 and int64 -1, never share."""
+    values = np.frombuffer(raw, dtype=dtype)
+    text = str if values.dtype.kind in "iu" else repr
+    texts = np.array(list(map(text, values.tolist())), dtype=object)
+    texts.setflags(write=False)
+    return texts
 
 
 def snapshot_columns(snapshot: Union[MeasurementMatrix, np.ndarray]) -> tuple:

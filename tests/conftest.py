@@ -26,3 +26,17 @@ def geometry_builds(monkeypatch):
 
     monkeypatch.setattr(harness, "build_geometry", counting)
     return calls
+
+
+@pytest.fixture
+def clear_memos():
+    """Empty the process's config and CSV-text memos now; the returned
+    function empties them again."""
+    from pcdoa import config, snapshot_io
+
+    def clear():
+        config._parse_quiet.cache_clear()
+        snapshot_io._texts.cache_clear()
+
+    clear()
+    return clear

@@ -122,6 +122,8 @@ BIG = 10**400  # an integer too large for a float
 SMALL = build_geometry("equidistant", 3, 3, 0.5, 10.0, 1.0)
 SNAPSHOT = np.exp(2j * np.pi * np.arange(9.0).reshape(3, 3) / 7.0)
 ONE_ROW = np.ones((1, 3))
+# Numeric text that numpy keeps as objects instead of reading it as text.
+OBJECT_TEXT = np.array([["1", "2"], ["3", "4"]], dtype=object)
 
 
 @pytest.mark.parametrize(
@@ -191,6 +193,10 @@ ONE_ROW = np.ones((1, 3))
             lambda: MeasurementMatrix([["1", "2"], ["3", "4"]]),
             "data must be numbers, got [['1', '2'], ['3', '4']]",
         ),
+        (
+            lambda: MeasurementMatrix(OBJECT_TEXT),
+            f"data must be numbers, got {OBJECT_TEXT!r}",
+        ),
         (lambda: jade_separate(SNAPSHOT, 2.7), "n_sources must be a whole number, got 2.7"),
         (lambda: jade_separate(SNAPSHOT, "2"), "n_sources must be a number, got '2'"),
         (
@@ -205,6 +211,10 @@ ONE_ROW = np.ones((1, 3))
         (
             lambda: bss_nls(SNAPSHOT, SMALL, ONE_ROW, [5.0], max_iterations=2.5),
             "max_iterations must be a whole number, got 2.5",
+        ),
+        (
+            lambda: bss_nls(SNAPSHOT, SMALL, ONE_ROW, [5.0], max_iterations=-3),
+            "max_iterations must be nonnegative, got -3",
         ),
         (lambda: derive_seed(1.5, 0, 0), "base_seed must be a whole number, got 1.5"),
         (lambda: derive_seed("1", 0, 0), "base_seed must be a number, got '1'"),
@@ -231,8 +241,10 @@ ONE_ROW = np.ones((1, 3))
         "bool-seed", "401-digit-direction", "text-spacing", "bool-spacing",
         "401-digit-aperture", "text-count", "bool-random-seed", "bool-wavelength",
         "text-wavelength", "text-displacements", "bool-displacement", "text-matrix",
+        "object-text-matrix",
         "fractional-n-sources", "text-n-sources", "text-grid", "bool-grid-start",
-        "text-max-iterations", "fractional-max-iterations", "fractional-base-seed",
+        "text-max-iterations", "fractional-max-iterations", "negative-max-iterations",
+        "fractional-base-seed",
         "text-base-seed", "text-sweep-value", "bool-sweep-value",
         "fractional-pair-statistics-counts", "text-expected-correlation-count",
         "zero-wavelength-pair-correlation",
@@ -394,6 +406,7 @@ def test_noise_variance_scaling():
         (lambda a: SourceScenario(a, [1.0, 2.0], 0.1), "directions_deg", [0.0, 1.5]),
         (lambda a: SourceScenario([1.0, 2.0], a, 0.1), "amplitudes", [0j, 1.5 + 0j]),
         (MeasurementMatrix, "data", [[0j, 1.5 + 0j]]),
+        (MeasurementMatrix, "data", np.array([[0, 1.5]], dtype=object)),
         (SourceSignalMatrix, "data", [[0j], [1.5 + 0j]]),
         (lambda a: PhaseOffsetEstimate(a, [[False, False]]), "offsets", [[0j, 1.5 + 0j]]),
         (lambda a: DoaEstimate(a, None, None, None, 0, 1.0), "directions_deg", [0.0, 1.5]),
@@ -404,7 +417,8 @@ def test_noise_variance_scaling():
         (lambda a: SourceCrossCovariance(a, [[1j]]), "matrix", [[0j, 1.5 + 0j]]),
     ],
     ids=[
-        "eta", "xi", "directions", "amplitudes", "measurements", "source-rows",
+        "eta", "xi", "directions", "amplitudes", "measurements", "object-measurements",
+        "source-rows",
         "phase-offsets", "doa-estimate", "whitening", "cumulants", "diagonalizer",
         "separation", "cross-covariance",
     ],
@@ -431,6 +445,9 @@ BAD_MATRICES = {
     # Entries numpy would convert to numbers.
     "numeric-text": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     "bools": [[True, False, False], [False, True, False], [False, False, True]],
+    "object-numeric-text": np.array([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], dtype=object),
+    # Used to end in a bare OverflowError.
+    "401-digit-entry": [[BIG, 0, 0], [0, 1, 0], [0, 0, 1]],
 }
 
 

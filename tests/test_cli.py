@@ -111,9 +111,24 @@ class TestEstimate:
         assert min(abs(e - 0.0) for e in est) < 0.5
         assert min(abs(e - 10.0) for e in est) < 0.5
 
-    def test_builds_the_geometry_once(self, tmp_path, geometry_builds):
+    def test_builds_the_geometry_once(self, tmp_path, clear_memos, geometry_builds):
+        # A cold call builds the config's geometry once; a warm call
+        # reuses the parsed config and builds none.
         assert run("estimate", "--config", "experiment", "--out", str(tmp_path)) == 0
         assert len(geometry_builds) == 1
+        geometry_builds.clear()
+        assert run("estimate", "--config", "experiment", "--out", str(tmp_path)) == 0
+        assert geometry_builds == []
+
+    def test_warm_calls_write_the_cold_bytes(self, tmp_path, clear_memos):
+        def estimate(name):
+            out = tmp_path / name
+            assert run("estimate", "--config", "experiment", "--out", str(out)) == 0
+            return [(out / f"spectra.{ext}").read_bytes() for ext in ("csv", "json")]
+
+        warm = [estimate("first"), estimate("second")]
+        clear_memos()
+        assert warm == [estimate("cold")] * 2
 
     def test_estimator_override_recorded(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -2,12 +2,14 @@ import cmath
 import dataclasses
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from pcdoa.config import (
+    load_config,
     load_packaged_config,
     packaged_config_names,
     parse_config,
@@ -630,6 +632,35 @@ class TestRoundTrip:
         d = cfg.as_dict()
         assert d["sources"]["amplitudes"][1]["phase_deg"] == pytest.approx(90.0)
         assert d["sources"]["amplitudes"][1]["magnitude"] == pytest.approx(3.0)
+
+
+class TestMemo:
+    """Each distinct text is parsed once per process, and nothing else
+    about a parse changes."""
+
+    def test_edited_file_is_parsed_again(self, tmp_path, clear_memos):
+        path = tmp_path / "run.yaml"
+        path.write_text(MINIMAL)
+        assert load_config(path).snr_db == 20.0
+        path.write_text(MINIMAL.replace("snr_db: 20.0", "snr_db: 7.0"))
+        assert load_config(path).snr_db == 7.0
+
+    def test_warnings_raised_on_every_parse(self, clear_memos):
+        text = MINIMAL.replace("[2.0, 9.0]", "[-2.0, 9.0]")
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                parse_config(text)
+            assert [str(w.message) for w in caught] == [
+                "directions span both sides of broadside; the single-side "
+                "assumption of the signal model is violated"
+            ]
+
+    def test_errors_are_raised_on_every_parse(self, clear_memos):
+        text = MINIMAL.replace("snr_db: 20.0", "snr_db: .nan")
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                parse_config(text)
 
 
 class TestPackaged:

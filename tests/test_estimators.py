@@ -376,6 +376,9 @@ class TestNls:
         capped = bss_nls(snapshot.data, geometry, offsets, mf.directions_deg, max_iterations=1)
         assert capped.stop_reason == "iteration_cap"
         assert mf.stop_reason is None
+        # A negative cap used to be returned as the iteration count.
+        with pytest.raises(InvalidParameterError, match="max_iterations must be nonnegative"):
+            bss_nls(snapshot.data, geometry, offsets, mf.directions_deg, max_iterations=-3)
 
     def test_rejects_out_of_domain_start(self):
         geometry = small_geometry()
@@ -843,6 +846,12 @@ class TestLevenbergMarquardt:
         assert len(history) == cap + 1
         if cap == 0:
             assert np.array_equal(params, np.zeros(3))
+
+    def test_negative_iteration_cap_refused(self):
+        # It used to return the start with iterations == -3 and stop
+        # reason "iteration_cap".
+        with pytest.raises(InvalidParameterError, match="max_iterations must be nonnegative"):
+            self.solve(max_iterations=-3)
 
     @pytest.mark.parametrize("bound", [np.inf, 0.6, 0.1], ids=["free", "wall-0.6", "wall-0.1"])
     def test_accepted_costs_never_increase(self, bound):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcdoa import snapshot_io
 from pcdoa.array_model import SourceScenario, build_geometry, synthesize
 from pcdoa.errors import SnapshotFormatError
 from pcdoa.snapshot_io import (
@@ -147,6 +148,19 @@ class TestRepeatedValues:
         text = path.read_text()
         assert "0.0,nan,0.10000000149011612,18446744073709551615" in text
         assert "-0.0,inf,-0.0,9223372036854775808" in text
+
+    def test_warm_columns_print_like_cold(self, tmp_path, clear_memos):
+        # Each column is written twice, the second time from the memo. The
+        # memo keys a column by dtype and bytes: the bytes of uint64
+        # 2**64 - 1 are those of int64 -1, and the two must not share text.
+        twins = [np.array([2**64 - 1], dtype=np.uint64), np.array([-1]), np.array([0.0, -0.0])]
+        columns = [*self.COLUMNS.values(), *twins]
+        path = tmp_path / "column.csv"
+        for column in columns:
+            for _ in range(2):
+                write_csv(path, ["v"], [column])
+                assert path.read_text().splitlines()[1:] == self.per_cell(column)
+        assert snapshot_io._texts.cache_info().hits == len(columns)
 
     def test_strided_and_tiled_columns(self, tmp_path):
         grid = np.linspace(-20.0, 20.0, 9)
